@@ -14,6 +14,11 @@ Corpus kinds mirror the paper's three document types: a relational table
 paragraphs/sentences), and structured text (documents = taxonomy concepts,
 with parent edges between metadata nodes, §II-A).
 
+Each corpus is tokenized once into a term table, ``(doc, attr, term)``
+(:func:`term_table`). Everything ``build_graph`` derives from terms comes
+from the two tables: the §II-B ordering (distinct unigrams), the
+document-term edges and the column-term edges.
+
 Term filtering (§II-B): ``build_graph`` creates data nodes from the corpus
 with the smaller number of distinct tokens and keeps, for the other corpus,
 only terms already in the graph. Callers pass corpora in any order;
@@ -21,14 +26,13 @@ only terms already in the graph. Callers pass corpora in any order;
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from .preprocess import explode_terms
+from .preprocess import TERM_SEP, terms_column
 
 DATA = "data"
 TUPLE = "tuple"
@@ -122,11 +126,6 @@ class Graph:
     edges: DataFrame
     term_corpus: Optional[str] = None
 
-    def cache(self) -> "Graph":
-        self.nodes = self.nodes.cache()
-        self.edges = self.edges.cache()
-        return self
-
     def materialize(self) -> "Graph":
         """Compute the graph eagerly and truncate its logical plan.
 
@@ -140,13 +139,6 @@ class Graph:
         """
         self.nodes = self.nodes.localCheckpoint(eager=True)
         self.edges = self.edges.localCheckpoint(eager=True)
-        return self
-
-    def unpersist(self) -> "Graph":
-        """Release cache blocks if any (no-op for checkpointed stages;
-        their blocks are freed by the ContextCleaner once unreferenced)."""
-        self.nodes.unpersist()
-        self.edges.unpersist()
         return self
 
     def num_nodes(self) -> int:
@@ -223,55 +215,51 @@ def canonical_edges(df: DataFrame) -> DataFrame:
     )
 
 
-def _doc_terms(corpus, *, max_n: int, do_stem: bool) -> DataFrame:
-    """DataFrame(doc, term) for a corpus, with prefixed metadata doc ids."""
+def _doc_id(corpus) -> Column:
+    """Prefixed metadata node id (``name::raw``) of each row of a corpus."""
+    return F.concat(F.lit(corpus.name + "::"), F.col(corpus.id_col).cast("string"))
+
+
+def term_table(corpus, *, max_n: int, do_stem: bool) -> DataFrame:
+    """Cached DataFrame(doc, attr, term): the corpus tokenized once (§II).
+
+    A table yields one row per term of each cell, with ``attr`` the
+    attribute name, so n-grams never span two attributes; text and
+    structured text yield one row per term of each document, with ``attr``
+    null. Callers unpersist the result.
+    """
     if corpus.kind == "table":
-        # terms are built per cell value: n-grams never span two attributes
-        df = corpus.df.select(
-            F.col(corpus.id_col).cast("string").alias("_raw_id"),
-            F.explode(
-                F.array(*[F.col(c).cast("string") for c in corpus.attr_cols])
-            ).alias("_text"),
+        cells = F.explode(
+            F.array(
+                *[
+                    F.struct(F.lit(a).alias("attr"), F.col(a).cast("string").alias("text"))
+                    for a in corpus.attr_cols
+                ]
+            )
+        ).alias("cell")
+        df = corpus.df.select(_doc_id(corpus).alias("doc"), cells).select(
+            "doc", "cell.attr", "cell.text"
         )
     else:
         df = corpus.df.select(
-            F.col(corpus.id_col).cast("string").alias("_raw_id"),
-            F.col(corpus.text_col).alias("_text"),
+            _doc_id(corpus).alias("doc"),
+            F.lit(None).cast("string").alias("attr"),
+            F.col(corpus.text_col).alias("text"),
         )
-    out = explode_terms(df, "_raw_id", "_text", max_n=max_n, do_stem=do_stem)
-    return out.select(
-        F.concat(F.lit(corpus.name + "::"), F.col("_raw_id")).alias("doc"), "term"
-    )
+    return df.select(
+        "doc",
+        "attr",
+        F.explode(terms_column(F.col("text"), max_n=max_n, do_stem=do_stem)).alias("term"),
+    ).cache()
 
 
-def _attr_terms(corpus: TableCorpus, *, max_n: int, do_stem: bool) -> DataFrame:
-    """DataFrame(col_node, term): each attribute's active-domain terms."""
-    parts = []
-    for attr in corpus.attr_cols:
-        t = explode_terms(
-            corpus.df.select(F.lit(attr).alias("_attr"), F.col(attr).cast("string").alias("_v")),
-            "_attr",
-            "_v",
-            max_n=max_n,
-            do_stem=do_stem,
-        )
-        parts.append(
-            t.select(
-                F.concat(F.lit(f"col::{corpus.name}::"), F.col("_attr")).alias("col_node"),
-                "term",
-            )
-        )
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.unionByName(p)
-    return out.distinct()
+def _unigram_count(terms: DataFrame) -> int:
+    """Distinct unigrams of a term table — the §II-B ordering criterion.
 
-
-def distinct_token_count(corpus, *, do_stem: bool = True) -> int:
-    """Distinct unigram tokens of a corpus — the §II-B ordering criterion."""
-    return (
-        _doc_terms(corpus, max_n=1, do_stem=do_stem).select("term").distinct().count()
-    )
+    Tokens never contain ``TERM_SEP``, so the terms without it are exactly
+    the n = 1 terms.
+    """
+    return terms.where(~F.col("term").contains(TERM_SEP)).select("term").distinct().count()
 
 
 def build_graph(
@@ -291,34 +279,30 @@ def build_graph(
     nodes and the other corpus is filtered against them (§II-B). Metadata
     nodes are created for every document of both corpora regardless.
     """
-    if auto_order and distinct_token_count(second, do_stem=do_stem) < distinct_token_count(
-        first, do_stem=do_stem
-    ):
-        first, second = second, first
-
-    dt1 = _doc_terms(first, max_n=max_n, do_stem=do_stem).cache()
-    dt2 = _doc_terms(second, max_n=max_n, do_stem=do_stem)
+    tables = [term_table(c, max_n=max_n, do_stem=do_stem) for c in (first, second)]
+    t1, t2 = tables
+    if auto_order and _unigram_count(t2) < _unigram_count(t1):
+        first, second, t1, t2 = second, first, t2, t1
     if filter_second:
-        dt2 = dt2.join(dt1.select("term").distinct(), "term", "left_semi")
-    dt2 = dt2.cache()
+        # also drops the second corpus's column-term edges of filtered terms
+        t2 = t2.join(t1.select("term"), "term", "left_semi")
 
     def _meta_nodes(corpus) -> DataFrame:
         t = {"table": TUPLE, "text": TEXT, "structured": CONCEPT}[corpus.kind]
         return corpus.df.select(
-            F.concat(
-                F.lit(corpus.name + "::"), F.col(corpus.id_col).cast("string")
-            ).alias("id"),
+            _doc_id(corpus).alias("id"),
             F.lit(t).alias("type"),
             F.lit(corpus.name).alias("corpus"),
         )
 
-    node_parts = [_meta_nodes(first), _meta_nodes(second)]
-    edge_parts = [
-        dt1.select(F.col("doc").alias("src"), F.concat(F.lit(DATA_PREFIX), "term").alias("dst")),
-        dt2.select(F.col("doc").alias("src"), F.concat(F.lit(DATA_PREFIX), "term").alias("dst")),
-    ]
+    def _term_edges(src: Column, terms: DataFrame) -> DataFrame:
+        return terms.select(src.alias("src"), F.concat(F.lit(DATA_PREFIX), "term").alias("dst"))
 
-    for corpus in (first, second):
+    node_parts = [_meta_nodes(first), _meta_nodes(second)]
+    edge_parts = []
+
+    for corpus, terms in ((first, t1), (second, t2)):
+        edge_parts.append(_term_edges(F.col("doc"), terms))
         if corpus.kind == "table":
             # a metadata node per attribute, unconditionally (Alg. 1 l. 5-10)
             node_parts.append(
@@ -327,15 +311,8 @@ def build_graph(
                     "id string, type string, corpus string",
                 )
             )
-            at = _attr_terms(corpus, max_n=max_n, do_stem=do_stem)
-            if corpus is second and filter_second:
-                # column-term edges only for terms surviving §II-B filtering
-                at = at.join(dt1.select("term").distinct(), "term", "left_semi")
             edge_parts.append(
-                at.select(
-                    F.col("col_node").alias("src"),
-                    F.concat(F.lit(DATA_PREFIX), "term").alias("dst"),
-                )
+                _term_edges(F.concat(F.lit(f"col::{corpus.name}::"), "attr"), terms)
             )
         elif corpus.kind == "structured":
             # hierarchy edges between concept metadata nodes (§II-A); the
@@ -360,9 +337,8 @@ def build_graph(
             edge_parts.append(hier)
 
     data_nodes = (
-        dt1.select("term")
-        .union(dt2.select("term"))
-        .distinct()
+        t1.select("term")
+        .union(t2.select("term"))
         .select(
             F.concat(F.lit(DATA_PREFIX), "term").alias("id"),
             F.lit(DATA).alias("type"),
@@ -379,8 +355,8 @@ def build_graph(
         edges = edges.unionByName(p)
 
     out = Graph(nodes.distinct(), canonical_edges(edges), first.name).materialize()
-    dt1.unpersist()
-    dt2.unpersist()
+    for t in tables:
+        t.unpersist()
     return out
 
 

@@ -93,42 +93,37 @@ def run_tdmatch(
     # Every stage function returns a materialized (localCheckpoint'ed)
     # graph, so plans stay flat and stage blocks are freed by the cleaner
     # once the next stage drops its reference.
-    def step(new_graph: Graph) -> Graph:
-        return new_graph
-
-    graph = step(
-        build_graph(
-            spark,
-            query_corpus,
-            target_corpus,
-            max_n=cfg.max_n,
-            do_stem=cfg.do_stem,
-            filter_second=False,
-            auto_order=cfg.auto_order,
-        )
+    graph = build_graph(
+        spark,
+        query_corpus,
+        target_corpus,
+        max_n=cfg.max_n,
+        do_stem=cfg.do_stem,
+        filter_second=False,
+        auto_order=cfg.auto_order,
     )
     if synonyms is not None:
-        graph = step(merge_synonyms(graph, synonyms)[0])
+        graph = merge_synonyms(graph, synonyms)[0]
     if cfg.bucket_numeric:
-        graph = step(merge_numeric_buckets(graph, width=cfg.bucket_width)[0])
+        graph = merge_numeric_buckets(graph, width=cfg.bucket_width)[0]
     if cfg.filter_second:
-        graph = step(filter_to_term_corpus(graph, kb=kb if cfg.expand else None))
+        graph = filter_to_term_corpus(graph, kb=kb if cfg.expand else None)
     if cfg.collect_sizes:
         sizes["original"] = (graph.num_nodes(), graph.num_edges())
 
     if cfg.expand:
         if kb is None:
             raise ValueError("expand=True requires a KB edge DataFrame")
-        graph = step(expand_graph(graph, kb, sink_scope=cfg.sink_scope))
+        graph = expand_graph(graph, kb, sink_scope=cfg.sink_scope)
         if cfg.collect_sizes:
             sizes["expanded"] = (graph.num_nodes(), graph.num_edges())
 
     if cfg.compress is not None:
         kind, ratio = cfg.compress
         if kind == "msp":
-            graph = step(msp_compress(graph, beta=ratio, seed=cfg.seed))
+            graph = msp_compress(graph, beta=ratio, seed=cfg.seed)
         elif kind == "ssum":
-            graph = step(ssum_like_compress(graph, ratio=ratio, seed=cfg.seed))
+            graph = ssum_like_compress(graph, ratio=ratio, seed=cfg.seed)
         else:
             raise ValueError(f"unknown compression {kind!r}")
         if cfg.collect_sizes:

@@ -5,11 +5,12 @@ builds n-gram *terms* (n = 1..3 by default, chosen by profiling Wikipedia
 titles). A *term* is one-or-more stemmed tokens joined by ``_`` and becomes a
 data node in the graph.
 
-Everything here is pure Python (unit-testable without Spark) plus thin Spark
-UDF wrappers at the bottom. No NLTK offline, so the stemmer is a compact
-suffix-stripping stemmer covering the inflections our corpora generate
-(plural/-ing/-ed/-ly/-tion/...); it is deterministic and idempotent on its
-own output for the suffixes it strips, which is all graph merging needs.
+Everything here is pure Python (unit-testable without Spark) plus one Spark
+UDF wrapper at the bottom, which ``graph.term_table`` runs once per corpus.
+No NLTK offline, so the stemmer is a compact suffix-stripping stemmer
+covering the inflections our corpora generate (plural/-ing/-ed/-ly/-tion/...);
+it is deterministic and idempotent on its own output for the suffixes it
+strips, which is all graph merging needs.
 """
 from __future__ import annotations
 
@@ -149,16 +150,3 @@ def terms_column(col: Column, *, max_n: int = 3, do_stem: bool = True) -> Column
 
     return _terms(col)
 
-
-def explode_terms(df, id_col: str, text_col: str, *, max_n: int = 3, do_stem: bool = True):
-    """DataFrame(doc id, text) -> DataFrame(id_col, term) with distinct rows."""
-    return (
-        df.select(
-            F.col(id_col),
-            F.explode(terms_column(F.col(text_col), max_n=max_n, do_stem=do_stem)).alias(
-                "term"
-            ),
-        )
-        .where(F.length("term") > 0)
-        .distinct()
-    )

@@ -115,6 +115,33 @@ class TestMsp:
         eb = sorted((r["src"], r["dst"]) for r in b.edges.collect())
         assert ea == eb
 
+    def test_independent_of_node_row_order(self, spark):
+        words = [f"w{i}" for i in range(12)]
+        t = pd.DataFrame(
+            {"tid": range(10), "a": [f"{words[i]} {words[i + 1]}" for i in range(10)]}
+        )
+        s = pd.DataFrame(
+            {"sid": range(10), "text": [f"{words[i + 2]} {words[i]} note" for i in range(10)]}
+        )
+        g = build_graph(
+            spark,
+            TableCorpus("t", spark.createDataFrame(t), "tid", ["a"]),
+            TextCorpus("s", spark.createDataFrame(s), "sid", "text"),
+            max_n=1,
+            auto_order=False,
+        )
+
+        def compressed(order):
+            out = msp_compress(
+                Graph(g.nodes.orderBy(order), g.edges, g.term_corpus), beta=0.2, seed=0
+            )
+            return (
+                {tuple(r) for r in out.nodes.collect()},
+                {tuple(r) for r in out.edges.collect()},
+            )
+
+        assert compressed(F.col("id")) == compressed(F.desc("id"))
+
     def test_needs_two_corpora(self, spark, small_graph):
         only = small_graph.subgraph(
             small_graph.nodes.where(

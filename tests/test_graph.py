@@ -11,9 +11,9 @@ from repro.core.graph import (
     build_graph,
     canonical_edges,
     data_node_id,
-    distinct_token_count,
     term_of,
 )
+from repro.core.preprocess import terms
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +130,10 @@ class TestBuildGraph:
         # this toy text corpus has fewer distinct tokens than the table, so
         # auto ordering makes the *text* define the term space regardless of
         # argument order: review-only terms survive, table-only terms don't
-        assert distinct_token_count(text) < distinct_token_count(table)
+        def unigrams(corpus, cols):
+            return {t for r in corpus.df.collect() for c in cols for t in terms(r[c], max_n=1)}
+
+        assert len(unigrams(text, [text.text_col])) < len(unigrams(table, table.attr_cols))
         for a, b in ((text, table), (table, text)):
             g = build_graph(spark, a, b, max_n=1)  # auto_order on
             ids = {r["id"] for r in g.nodes.collect()}

@@ -135,31 +135,41 @@ class TestIsNumeric:
 
 
 class TestExplodeTerms:
+    """``graph.term_table``: the one Spark tokenization pass per corpus."""
+
     def test_spark_matches_python(self, spark):
         import pandas as pd
+        from repro.core.graph import TableCorpus, TextCorpus, term_table
 
-        df = spark.createDataFrame(
-            pd.DataFrame({"id": [1, 2], "text": ["The Sixth Sense", "Pulp Fiction"]})
+        pdf = pd.DataFrame(
+            {"id": [1, 2], "a": ["The Sixth Sense", "Pulp Fiction"], "b": ["Willis", None]}
         )
-        got = {
-            (r["id"], r["term"])
-            for r in pp.explode_terms(df, "id", "text", max_n=2).collect()
+        df = spark.createDataFrame(pdf)
+
+        def rows(corpus):
+            return {tuple(r) for r in term_table(corpus, max_n=2, do_stem=True).collect()}
+
+        assert rows(TextCorpus("c", df, "id", "a")) == {
+            (f"c::{r.id}", None, t) for r in pdf.itertuples() for t in pp.terms(r.a, max_n=2)
         }
-        expected = set()
-        for i, t in [(1, "The Sixth Sense"), (2, "Pulp Fiction")]:
-            for term in pp.terms(t, max_n=2):
-                expected.add((i, term))
-        assert got == expected
+        # a table yields each cell's own terms: n-grams never span two cells
+        assert rows(TableCorpus("c", df, "id", ["a", "b"])) == {
+            (f"c::{r.id}", attr, t)
+            for r in pdf.itertuples()
+            for attr in ("a", "b")
+            for t in pp.terms(getattr(r, attr), max_n=2)
+        }
 
     def test_oracle_unigram_counts(self, spark):
-        """Cross-check exploded term counts against DuckDB string ops."""
+        """Cross-check term-table counts against DuckDB string ops."""
         import pandas as pd
+        from repro.core.graph import TextCorpus, term_table
         from repro.oracle import assert_equivalent
 
         pdf = pd.DataFrame({"id": [1, 2, 3], "text": ["alpha beta", "beta gamma", "alpha alpha"]})
         df = spark.createDataFrame(pdf)
         got = (
-            pp.explode_terms(df, "id", "text", max_n=1, do_stem=False)
+            term_table(TextCorpus("c", df, "id", "text"), max_n=1, do_stem=False)
             .groupBy("term")
             .count()
             .withColumnRenamed("count", "n")

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.compress import all_shortest_path_edges, bfs_parents
 from repro.core.metrics import node_score
+from repro.core.preprocess import TERM_SEP, terms
 from repro.core.walks import walk_from
 
 # random small graphs as edge lists over a fixed node universe
@@ -97,3 +98,23 @@ class TestNodeScoreProperties:
     @settings(max_examples=100, deadline=None)
     def test_identity(self, p):
         assert node_score(p, p) == 1.0
+
+
+# free text, plus word sequences that hit stop-words, stemmer suffixes,
+# decimals and separators
+words_st = st.one_of(
+    st.sampled_from(
+        ["The", "sixth", "planning", "movies", "reported", "3.5", "B.", "of", "a_b", "PG-13"]
+    ),
+    st.text(alphabet="aeinstlgd019._-", max_size=8),
+)
+text_st = st.one_of(st.text(max_size=80), st.lists(words_st, max_size=12).map(" ".join))
+
+
+class TestTermProperties:
+    @given(text_st, st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_unigrams_are_terms_without_separator(self, text, do_stem):
+        # build_graph's §II-B ordering counts unigrams this way
+        uni = set(terms(text, max_n=1, do_stem=do_stem))
+        assert uni == {t for t in terms(text, max_n=3, do_stem=do_stem) if TERM_SEP not in t}
