@@ -13,8 +13,11 @@
   comparison baseline; DESIGN.md documents the substitution.
 
 BFS shortest-path enumeration is pure Python over an adjacency dict (unit
-testable); the per-pair work is distributed with ``mapInPandas`` over the
-sampled pairs with the adjacency broadcast, per the DESIGN.md layering note.
+testable). The sampled pairs are grouped by source: one BFS per source gives
+the shortest-path DAG to all of its destinations (Brandes 2001), and one
+backtrack seeded with all of them collects their path edges. The per-source
+work is distributed with ``mapInPandas`` with the adjacency broadcast, per
+the DESIGN.md layering note.
 """
 from __future__ import annotations
 
@@ -46,25 +49,23 @@ def bfs_parents(adj: Dict[str, List[str]], src: str) -> Tuple[Dict[str, int], Di
     return dist, parents
 
 
-def all_shortest_path_edges(
-    adj: Dict[str, List[str]], src: str, dst: str
+def shortest_path_edges(
+    adj: Dict[str, List[str]], src: str, dsts: Iterable[str]
 ) -> List[Tuple[str, str]]:
-    """Edges lying on *any* shortest src-dst path ([] if disconnected).
+    """Edges lying on *any* shortest path from ``src`` to any of ``dsts``.
 
-    Backtracks the BFS parent DAG from ``dst``; the union of parent edges
-    reachable from ``dst`` is exactly the union of all shortest paths.
+    One BFS, then one backtrack through the parent DAG seeded with every
+    reachable destination; the union of parent edges reachable from a
+    destination is exactly the union of its shortest paths. Unreachable
+    destinations and ``src`` itself contribute nothing.
     """
-    if src == dst:
-        return []
     dist, parents = bfs_parents(adj, src)
-    if dst not in dist:
-        return []
+    stack = [d for d in set(dsts) if d in dist]
+    seen = set(stack)
     edges: Set[Tuple[str, str]] = set()
-    stack = [dst]
-    seen = {dst}
     while stack:
         v = stack.pop()
-        for u in parents.get(v, ()):
+        for u in parents[v]:
             edges.add((min(u, v), max(u, v)))
             if u not in seen:
                 seen.add(u)
@@ -72,38 +73,70 @@ def all_shortest_path_edges(
     return sorted(edges)
 
 
-def _sample_pairs(
-    first: Sequence[str], second: Sequence[str], n: int, seed: int
+def all_shortest_path_edges(
+    adj: Dict[str, List[str]], src: str, dst: str
+) -> List[Tuple[str, str]]:
+    """Edges lying on *any* shortest src-dst path ([] if disconnected)."""
+    return shortest_path_edges(adj, src, [dst])
+
+
+def sample_pairs(
+    first: Sequence[str],
+    second: Sequence[str],
+    n: int,
+    seed: int,
+    *,
+    ensure_all_metadata: bool = True,
 ) -> pd.DataFrame:
+    """DataFrame(src, dst) of MSP's ``n`` sampled (first, second) doc pairs.
+
+    With ``ensure_all_metadata`` every doc left unsampled gets one extra
+    pair with a random doc of the other corpus.
+    """
     rng = np.random.default_rng(seed)
-    return pd.DataFrame(
+    pairs = pd.DataFrame(
         {
             "src": rng.choice(np.asarray(first, dtype=object), size=n, replace=True),
             "dst": rng.choice(np.asarray(second, dtype=object), size=n, replace=True),
         }
     )
+    if ensure_all_metadata:
+        rng = np.random.default_rng(seed + 1)
+        missing_first = sorted(set(first) - set(pairs["src"]))
+        missing_second = sorted(set(second) - set(pairs["dst"]))
+        extra = []
+        for m in missing_first:
+            extra.append((m, second[int(rng.integers(len(second)))]))
+        for m in missing_second:
+            extra.append((first[int(rng.integers(len(first)))], m))
+        if extra:
+            pairs = pd.concat(
+                [pairs, pd.DataFrame(extra, columns=["src", "dst"])], ignore_index=True
+            )
+    return pairs
 
 
 def _paths_edges_df(
     spark: SparkSession, pairs: pd.DataFrame, adj: Dict[str, List[str]]
 ) -> DataFrame:
-    """Distributed all-shortest-paths over sampled pairs -> edge DataFrame."""
+    """Distributed shortest-path edges of the sampled pairs, one BFS per
+    source -> DataFrame(src, dst) of canonical edges, possibly repeated."""
     if pairs.empty:
         return spark.createDataFrame(pd.DataFrame(columns=["src", "dst"]), "src string, dst string")
-    sc = spark.sparkContext
-    b_adj = sc.broadcast(adj)
+    b_adj = spark.sparkContext.broadcast(adj)
+    by_src = pairs.groupby("src")["dst"].agg(list).reset_index()
 
     def gen(batches: Iterable[pd.DataFrame]):
         a = b_adj.value
         for pdf in batches:
             rows: List[Tuple[str, str]] = []
-            for s, d in zip(pdf["src"], pdf["dst"]):
-                rows.extend(all_shortest_path_edges(a, s, d))
+            for s, ds in zip(pdf["src"], pdf["dst"]):
+                rows.extend(shortest_path_edges(a, s, ds))
             yield pd.DataFrame(rows, columns=["src", "dst"])
 
-    n_part = max(1, min(spark.sparkContext.defaultParallelism, len(pairs) // 8 + 1))
-    src_df = spark.createDataFrame(pairs).repartition(n_part)
-    return src_df.mapInPandas(gen, "src string, dst string").distinct()
+    n_part = min(spark.sparkContext.defaultParallelism, len(by_src))
+    src_df = spark.createDataFrame(by_src, "src string, dst array<string>").repartition(n_part)
+    return src_df.mapInPandas(gen, "src string, dst string")
 
 
 def msp_compress(
@@ -127,30 +160,14 @@ def msp_compress(
     n_nodes = graph.num_nodes()
     L = max(1, int(beta * n_nodes))
     adj = graph.adjacency()
-    pairs = _sample_pairs(first, second, L, seed)
-
-    if ensure_all_metadata:
-        rng = np.random.default_rng(seed + 1)
-        missing_first = sorted(set(first) - set(pairs["src"]))
-        missing_second = sorted(set(second) - set(pairs["dst"]))
-        extra = []
-        for m in missing_first:
-            extra.append((m, second[int(rng.integers(len(second)))]))
-        for m in missing_second:
-            extra.append((first[int(rng.integers(len(first)))], m))
-        if extra:
-            pairs = pd.concat(
-                [pairs, pd.DataFrame(extra, columns=["src", "dst"])], ignore_index=True
-            )
-
+    pairs = sample_pairs(first, second, L, seed, ensure_all_metadata=ensure_all_metadata)
     kept_edges = canonical_edges(_paths_edges_df(spark, pairs, adj)).cache()
+    # metadata nodes always survive, even if isolated (matching needs them)
     kept_nodes = (
         kept_edges.select(F.col("src").alias("id"))
         .union(kept_edges.select(F.col("dst").alias("id")))
-        .distinct()
+        .union(graph.metadata_nodes().select("id"))
     )
-    # metadata nodes always survive, even if isolated (matching needs them)
-    kept_nodes = kept_nodes.union(graph.metadata_nodes().select("id")).distinct()
     nodes = graph.nodes.join(kept_nodes, "id", "left_semi")
     out = Graph(nodes, kept_edges, graph.term_corpus).materialize()
     kept_edges.unpersist()
@@ -171,7 +188,7 @@ def ssum_like_compress(graph: Graph, *, ratio: float, seed: int = 0) -> Graph:
         graph.symmetric_edges()
         .groupBy("src")
         .agg(F.sort_array(F.collect_set("dst")).alias("nbrs"))
-        .withColumn("sig", F.sha2(F.concat_ws("", "nbrs"), 256))
+        .withColumn("sig", F.sha2(F.to_json("nbrs"), 256))
         .select(F.col("src").alias("id"), "sig")
     )
     data_sig = graph.nodes.where(F.col("type") == "data").join(sig, "id")

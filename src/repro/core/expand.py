@@ -74,7 +74,7 @@ def expand_graph(
         sinks = expanded.degrees().where(F.col("degree") <= 1).select("id")
         if sink_scope == "added":
             sinks = sinks.join(new_nodes.select("id"), "id", "left_semi")
-        out = expanded.without_nodes(sinks).materialize()
+        out = expanded.without_nodes(sinks)
     edges.unpersist()
     new_nodes.unpersist()
     return out

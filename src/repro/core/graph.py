@@ -189,19 +189,24 @@ class Graph:
         return dict(zip(pdf["src"], (list(n) for n in pdf["nbrs"])))
 
     def subgraph(self, keep_nodes: DataFrame) -> "Graph":
-        """Induced subgraph on ``keep_nodes`` (a DataFrame with column ``id``)."""
-        keep = keep_nodes.select("id").distinct()
-        nodes = self.nodes.join(keep, "id")
-        edges = (
-            self.edges.join(keep.withColumnRenamed("id", "src"), "src")
-            .join(keep.withColumnRenamed("id", "dst"), "dst")
-            .select("src", "dst")
-        )
-        return Graph(nodes, edges, self.term_corpus)
+        """Materialized induced subgraph on the nodes whose ids are in
+        ``keep_nodes`` (a DataFrame with column ``id``, duplicates allowed)."""
+        return self._induced(self.nodes.join(keep_nodes.select("id"), "id", "left_semi"))
 
     def without_nodes(self, drop_nodes: DataFrame) -> "Graph":
-        keep = self.nodes.join(drop_nodes.select("id").distinct(), "id", "left_anti")
-        return self.subgraph(keep)
+        """Materialized induced subgraph on the nodes not in ``drop_nodes``."""
+        return self._induced(self.nodes.join(drop_nodes.select("id"), "id", "left_anti"))
+
+    def _induced(self, nodes: DataFrame) -> "Graph":
+        """Nodes first: checkpoint the kept nodes once, then keep the edges
+        with both ends among them. Node ids are unique, so the semi/anti
+        joins need no ``distinct`` and the keep set is computed once."""
+        nodes = nodes.localCheckpoint(eager=True)
+        ids = nodes.select("id")
+        edges = self.edges.join(ids.withColumnRenamed("id", "src"), "src", "left_semi").join(
+            ids.withColumnRenamed("id", "dst"), "dst", "left_semi"
+        )
+        return Graph(nodes, edges.localCheckpoint(eager=True), self.term_corpus)
 
 
 def canonical_edges(df: DataFrame) -> DataFrame:
@@ -377,29 +382,20 @@ def filter_to_term_corpus(graph: Graph, *, kb: Optional[DataFrame] = None) -> Gr
         raise ValueError("graph has no recorded term corpus")
     sym = graph.symmetric_edges()
     first_meta = graph.metadata_nodes(graph.term_corpus).select("id")
-    keep = (
-        sym.join(first_meta.withColumnRenamed("id", "src"), "src", "left_semi")
-        .select(F.col("dst").alias("id"))
-        .distinct()
+    keep = sym.join(first_meta.withColumnRenamed("id", "src"), "src", "left_semi").select(
+        F.col("dst").alias("id")
     )
     if kb is not None:
         kept_terms = keep.where(F.col("id").startswith(DATA_PREFIX)).select(
-            F.expr(f"substring(id, {len(DATA_PREFIX) + 1})").alias("term")
+            F.expr(f"substring(id, {len(DATA_PREFIX) + 1})").alias("object")
         )
         kbe = kb.select("subject", "object")
         kbe = kbe.unionByName(
             kbe.select(F.col("object").alias("subject"), F.col("subject").alias("object"))
         )
-        bridged = (
-            kbe.join(kept_terms.withColumnRenamed("term", "object"), "object", "left_semi")
-            .select(F.concat(F.lit(DATA_PREFIX), "subject").alias("id"))
-            .distinct()
+        bridged = kbe.join(kept_terms, "object", "left_semi").select(
+            F.concat(F.lit(DATA_PREFIX), "subject").alias("id")
         )
-        keep = keep.unionByName(bridged).distinct()
-    keep = keep.unionByName(graph.metadata_nodes().select("id")).distinct()
-    drop = (
-        graph.nodes.where(F.col("type") == DATA)
-        .select("id")
-        .join(keep, "id", "left_anti")
-    )
-    return graph.without_nodes(drop).materialize()
+        keep = keep.unionByName(bridged)
+    # every metadata node stays; repeated ids are harmless to the semi join
+    return graph.subgraph(keep.unionByName(graph.metadata_nodes().select("id")))

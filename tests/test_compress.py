@@ -7,6 +7,7 @@ from repro.core.compress import (
     all_shortest_path_edges,
     bfs_parents,
     msp_compress,
+    sample_pairs,
     ssum_like_compress,
 )
 from repro.core.graph import Graph, TableCorpus, TextCorpus, build_graph
@@ -142,6 +143,27 @@ class TestMsp:
 
         assert compressed(F.col("id")) == compressed(F.desc("id"))
 
+    @pytest.mark.parametrize("beta,seed", [(0.25, 1), (2.0, 0)])
+    def test_equals_per_pair_reference(self, small_graph, beta, seed):
+        """One BFS per source keeps exactly the edges of the per-pair loop."""
+        docs = small_graph.doc_nodes().select("id", "corpus").toPandas()
+        first, second = (
+            sorted(docs.loc[docs["corpus"] == c, "id"]) for c in sorted(docs["corpus"].unique())
+        )
+        n = max(1, int(beta * small_graph.num_nodes()))
+        pairs = sample_pairs(first, second, n, seed)
+        adj = small_graph.adjacency()
+        want_edges = set()
+        for s, d in zip(pairs["src"], pairs["dst"]):
+            want_edges.update(all_shortest_path_edges(adj, s, d))
+        keep = {u for e in want_edges for u in e}
+        keep |= {r["id"] for r in small_graph.metadata_nodes().collect()}
+        want_nodes = sorted(tuple(r) for r in small_graph.nodes.collect() if r["id"] in keep)
+
+        cg = msp_compress(small_graph, beta=beta, seed=seed)
+        assert sorted(tuple(r) for r in cg.edges.collect()) == sorted(want_edges)
+        assert sorted(tuple(r) for r in cg.nodes.collect()) == want_nodes
+
     def test_needs_two_corpora(self, spark, small_graph):
         only = small_graph.subgraph(
             small_graph.nodes.where(
@@ -172,3 +194,29 @@ class TestSsum:
         cg = ssum_like_compress(small_graph, ratio=1.0, seed=0)
         # identical-neighbourhood data nodes may merge; edges never grow
         assert cg.num_nodes() <= small_graph.num_nodes()
+
+    @pytest.mark.parametrize(
+        "x,y,merged",
+        [
+            (["a", "b"], ["a", "b"], True),
+            # ids may hold any separator character: joined with "\x01",
+            # these two neighbour sets read the same
+            (["a\x01b", "c"], ["a", "b\x01c"], False),
+        ],
+    )
+    def test_merges_exactly_equal_neighbourhoods(self, spark, x, y, merged):
+        nbrs = sorted(set(x + y))
+        nodes = pd.DataFrame(
+            {
+                "id": ["d::x", "d::y"] + nbrs,
+                "type": ["data", "data"] + ["text"] * len(nbrs),
+                "corpus": ["", ""] + ["s"] * len(nbrs),
+            }
+        )
+        edges = pd.DataFrame(
+            [(n, "d::x") for n in x] + [(n, "d::y") for n in y], columns=["src", "dst"]
+        )
+        g = Graph(spark.createDataFrame(nodes), spark.createDataFrame(edges), "s")
+        cg = ssum_like_compress(g, ratio=1.0, seed=0)
+        data = {r["id"] for r in cg.nodes.where(F.col("type") == "data").collect()}
+        assert data == ({"d::x"} if merged else {"d::x", "d::y"})

@@ -4,7 +4,13 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core.expand import expand_graph
-from repro.core.graph import TableCorpus, TextCorpus, build_graph, data_node_id
+from repro.core.graph import (
+    TableCorpus,
+    TextCorpus,
+    build_graph,
+    data_node_id,
+    filter_to_term_corpus,
+)
 
 
 @pytest.fixture(scope="module")
@@ -102,3 +108,42 @@ class TestExpand:
         d0, _ = bfs_parents(g.adjacency(), "s::1")
         d1, _ = bfs_parents(out.adjacency(), "s::1")
         assert d1["t::1"] <= d0["t::1"]
+
+
+def test_filter_and_expand_independent_of_shuffle_partitions(spark):
+    t = spark.createDataFrame(
+        pd.DataFrame({"tid": [1, 2], "a": ["tarantino drama", "shyamalan thriller"]})
+    )
+    s = spark.createDataFrame(
+        pd.DataFrame({"sid": [1, 2], "text": ["tarantino comedy film", "shyamalan thriller film"]})
+    )
+    g = build_graph(
+        spark, TableCorpus("t", t, "tid", ["a"]), TextCorpus("s", s, "sid", "text"),
+        max_n=1, auto_order=False, filter_second=False,
+    )
+    kb = _kb(
+        spark,
+        [("tarantino", "comedy"), ("drama", "genre"), ("thriller", "genre"), ("film", "cinema")],
+    )
+    key = "spark.sql.shuffle.partitions"
+
+    def graphs(n):
+        old = spark.conf.get(key)
+        spark.conf.set(key, str(n))
+        try:
+            f = filter_to_term_corpus(g, kb=kb)
+            e = expand_graph(f, kb)
+            return [
+                ({tuple(r) for r in x.nodes.collect()}, {tuple(r) for r in x.edges.collect()})
+                for x in (f, e)
+            ]
+        finally:
+            spark.conf.set(key, old)
+
+    four = graphs(4)
+    assert four == graphs(64)
+    (f_nodes, _), (e_nodes, _) = four
+    # filtering dropped "film", the KB bridge kept "comedy", expansion added "genre"
+    assert (data_node_id("film"), "data", "") not in f_nodes
+    assert (data_node_id("comedy"), "data", "") in f_nodes
+    assert (data_node_id("genre"), "data", "") in e_nodes

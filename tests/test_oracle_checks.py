@@ -1,6 +1,6 @@
 """DuckDB-oracle equivalence checks for the relational stages of the
-pipeline: graph construction joins, filtering semantics, expansion joins,
-bucket assignment, and ranking aggregation."""
+pipeline: graph construction joins, filtering semantics, induced subgraphs,
+expansion joins, bucket assignment, and ranking aggregation."""
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -100,6 +100,42 @@ class TestGraphOracle:
             WHERE n.type = 'data'
         """
         assert_equivalent(got, sql, edges=edges, nodes=nodes)
+
+
+class TestSubgraphOracle:
+    """subgraph / without_nodes == SQL semi / anti joins; the id lists hold
+    duplicates and ids absent from the graph."""
+
+    EDGES_SQL = """
+        WITH kept AS ({kept})
+        SELECT e.src, e.dst FROM edges e
+        SEMI JOIN kept a ON e.src = a.id
+        SEMI JOIN kept b ON e.dst = b.id
+    """
+
+    @pytest.fixture(scope="class")
+    def graph(self, spark, corpora):
+        table, text = corpora
+        return build_graph(spark, table, text, max_n=1, auto_order=False, filter_second=False)
+
+    @pytest.fixture(scope="class")
+    def ids(self, graph):
+        every_other = sorted(r["id"] for r in graph.nodes.collect())[::2]
+        return pd.DataFrame({"id": every_other + every_other[:3] + ["absent::1", "absent::1"]})
+
+    def test_subgraph(self, spark, graph, ids):
+        sub = graph.subgraph(spark.createDataFrame(ids))
+        kept = "SELECT n.* FROM nodes n SEMI JOIN k USING (id)"
+        nodes, edges = graph.nodes.toPandas(), graph.edges.toPandas()
+        assert_equivalent(sub.nodes, kept, nodes=nodes, k=ids)
+        assert_equivalent(sub.edges, self.EDGES_SQL.format(kept=kept), nodes=nodes, edges=edges, k=ids)
+
+    def test_without_nodes(self, spark, graph, ids):
+        sub = graph.without_nodes(spark.createDataFrame(ids))
+        kept = "SELECT n.* FROM nodes n ANTI JOIN k USING (id)"
+        nodes, edges = graph.nodes.toPandas(), graph.edges.toPandas()
+        assert_equivalent(sub.nodes, kept, nodes=nodes, k=ids)
+        assert_equivalent(sub.edges, self.EDGES_SQL.format(kept=kept), nodes=nodes, edges=edges, k=ids)
 
 
 class TestBucketOracle:

@@ -3,7 +3,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.compress import all_shortest_path_edges, bfs_parents
+from repro.core.compress import all_shortest_path_edges, bfs_parents, shortest_path_edges
 from repro.core.metrics import node_score
 from repro.core.preprocess import TERM_SEP, terms
 from repro.core.walks import walk_from
@@ -64,6 +64,34 @@ class TestBfsProperties:
         assert sorted(all_shortest_path_edges(adj, src, dst)) == sorted(
             all_shortest_path_edges(adj, dst, src)
         )
+
+
+    @given(edges_st, st.sampled_from(NODES), st.sampled_from(NODES))
+    @settings(max_examples=60, deadline=None)
+    def test_pair_edges_characterized_by_distances(self, edges, src, dst):
+        # u-v lies on a shortest src-dst path iff d(src,u) + 1 + d(v,dst)
+        # equals d(src,dst), for one orientation of the edge
+        adj = _adj(edges)
+        ds, _ = bfs_parents(adj, src)
+        dd, _ = bfs_parents(adj, dst)
+        want = set()
+        if dst in ds:
+            for u, v in edges:
+                for a, b in ((u, v), (v, u)):
+                    if a in ds and b in dd and ds[a] + 1 + dd[b] == ds[dst]:
+                        want.add((u, v))
+        assert all_shortest_path_edges(adj, src, dst) == sorted(want)
+
+    @given(edges_st, st.sampled_from(NODES), st.lists(st.sampled_from(NODES + ["zz"]), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_one_bfs_equals_union_of_pairs(self, edges, src, dsts):
+        # "zz" is absent from the graph; isolated nodes are unreachable
+        # and dsts may repeat or contain src
+        adj = _adj(edges)
+        want = set()
+        for d in dsts:
+            want.update(all_shortest_path_edges(adj, src, d))
+        assert shortest_path_edges(adj, src, dsts + [src]) == sorted(want)
 
 
 class TestWalkProperties:
