@@ -29,7 +29,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from .graph import Graph, canonical_edges
+from .graph import Graph, canonical_edges, pandas_frame
 
 
 def bfs_parents(adj: Dict[str, List[str]], src: str) -> Tuple[Dict[str, int], Dict[str, List[str]]]:
@@ -122,7 +122,7 @@ def _paths_edges_df(
     """Distributed shortest-path edges of the sampled pairs, one BFS per
     source -> DataFrame(src, dst) of canonical edges, possibly repeated."""
     if pairs.empty:
-        return spark.createDataFrame(pd.DataFrame(columns=["src", "dst"]), "src string, dst string")
+        return pandas_frame(spark, pairs, "src string, dst string")
     b_adj = spark.sparkContext.broadcast(adj)
     by_src = pairs.groupby("src")["dst"].agg(list).reset_index()
 

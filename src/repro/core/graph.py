@@ -29,8 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+import pandas as pd
 from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.types import DataType
 
 from .preprocess import TERM_SEP, terms_column
 
@@ -220,6 +222,20 @@ def canonical_edges(df: DataFrame) -> DataFrame:
     )
 
 
+def pandas_frame(spark: SparkSession, pdf: pd.DataFrame, schema: str) -> DataFrame:
+    """``pdf`` as a DataFrame with the DDL ``schema``.
+
+    PySpark converts a non-empty pandas frame through Arrow (on in every
+    session of this project) but an empty one through a pickled RDD job,
+    which starts a second Python worker pool (DESIGN.md). An empty frame is
+    therefore built as an empty SQL relation.
+    """
+    if pdf.empty:
+        fields = DataType.fromDDL(schema).fields
+        return spark.range(0).select(*[F.lit(None).cast(f.dataType).alias(f.name) for f in fields])
+    return spark.createDataFrame(pdf, schema)
+
+
 def _doc_id(corpus) -> Column:
     """Prefixed metadata node id (``name::raw``) of each row of a corpus."""
     return F.concat(F.lit(corpus.name + "::"), F.col(corpus.id_col).cast("string"))
@@ -267,6 +283,27 @@ def _unigram_count(terms: DataFrame) -> int:
     return terms.where(~F.col("term").contains(TERM_SEP)).select("term").distinct().count()
 
 
+def column_nodes(spark: SparkSession, corpus: TableCorpus) -> DataFrame:
+    """DataFrame(id, type, corpus): one column metadata node per attribute of
+    a table corpus, whether or not the attribute has terms (Alg. 1 l. 5-10).
+
+    A literal relation evaluated in the JVM. ``createDataFrame(<list>)``
+    would pickle the rows through an RDD job, whose workers form a second
+    Python worker pool next to the one the SQL UDFs use (DESIGN.md).
+    """
+    rows = [
+        F.struct(
+            F.lit(f"col::{corpus.name}::{a}").alias("id"),
+            F.lit(COLUMN).alias("type"),
+            F.lit(corpus.name).alias("corpus"),
+        )
+        for a in corpus.attr_cols
+    ]
+    # the cast types an empty array and makes the columns nullable
+    nodes = F.array(*rows).cast("array<struct<id:string,type:string,corpus:string>>")
+    return spark.range(1).select(F.inline(nodes))
+
+
 def build_graph(
     spark: SparkSession,
     first,
@@ -309,13 +346,7 @@ def build_graph(
     for corpus, terms in ((first, t1), (second, t2)):
         edge_parts.append(_term_edges(F.col("doc"), terms))
         if corpus.kind == "table":
-            # a metadata node per attribute, unconditionally (Alg. 1 l. 5-10)
-            node_parts.append(
-                spark.createDataFrame(
-                    [(f"col::{corpus.name}::{a}", COLUMN, corpus.name) for a in corpus.attr_cols],
-                    "id string, type string, corpus string",
-                )
-            )
+            node_parts.append(column_nodes(spark, corpus))
             edge_parts.append(
                 _term_edges(F.concat(F.lit(f"col::{corpus.name}::"), "attr"), terms)
             )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
+from ..core.graph import pandas_frame
 from ..core.preprocess import TERM_SEP, content_tokens
 
 
@@ -29,15 +30,13 @@ def prepare_kb(spark: SparkSession, kb: pd.DataFrame, *, do_stem: bool = True) -
         }
     )
     out = out[(out.subject != "") & (out.object != "") & (out.subject != out.object)]
-    return spark.createDataFrame(out.drop_duplicates())
+    return pandas_frame(spark, out.drop_duplicates(), "subject string, object string")
 
 
 def prepare_synonyms(
     spark: SparkSession, synonyms: pd.DataFrame, *, do_stem: bool = True
 ) -> DataFrame:
     """(variant, canonical) raw phrases -> Spark DataFrame in term space."""
-    if len(synonyms) == 0:
-        return spark.createDataFrame([], "variant string, canonical string")
     out = pd.DataFrame(
         {
             "variant": synonyms["variant"].map(lambda p: to_term(p, do_stem=do_stem)),
@@ -45,4 +44,6 @@ def prepare_synonyms(
         }
     )
     out = out[(out.variant != "") & (out.canonical != "") & (out.variant != out.canonical)]
-    return spark.createDataFrame(out.drop_duplicates(subset=["variant"]))
+    return pandas_frame(
+        spark, out.drop_duplicates(subset=["variant"]), "variant string, canonical string"
+    )

@@ -10,7 +10,9 @@ from repro.core.graph import (
     TextCorpus,
     build_graph,
     canonical_edges,
+    column_nodes,
     data_node_id,
+    pandas_frame,
     term_of,
 )
 from repro.core.preprocess import terms
@@ -146,6 +148,66 @@ class TestBuildGraph:
 
     def test_edges_distinct(self, g1):
         assert g1.edges.count() == g1.edges.distinct().count()
+
+
+def _scans_rdd(df) -> bool:
+    """Whether the analyzed plan reads a pickled RDD (``LogicalRDD``)."""
+    return "LogicalRDD" in df._jdf.queryExecution().analyzed().toString()
+
+
+class TestColumnNodes:
+    @pytest.fixture(scope="class")
+    def table(self, spark):
+        # "rate" holds only stopwords: an attribute without terms
+        df = spark.createDataFrame(
+            pd.DataFrame({"mid": [1, 2], "title": ["Heat", "Up"], "rate": ["the", "a"]})
+        )
+        return TableCorpus("movies", df, "mid", ["title", "rate"])
+
+    def test_one_node_per_attribute(self, spark, table):
+        out = column_nodes(spark, table)
+        assert out.schema.simpleString() == "struct<id:string,type:string,corpus:string>"
+        assert [tuple(r) for r in out.collect()] == [
+            ("col::movies::title", G.COLUMN, "movies"),
+            ("col::movies::rate", G.COLUMN, "movies"),
+        ]
+
+    def test_attribute_without_terms_in_graph(self, spark, table):
+        text = TextCorpus(
+            "reviews", spark.createDataFrame(pd.DataFrame({"rid": [1], "text": ["heat"]})),
+            "rid", "text",
+        )
+        g = build_graph(spark, table, text, max_n=1, auto_order=False)
+        cols = {r["id"] for r in g.nodes.where(F.col("type") == G.COLUMN).collect()}
+        assert cols == {"col::movies::title", "col::movies::rate"}
+
+    def test_no_attributes(self, spark, table):
+        out = column_nodes(spark, TableCorpus("movies", table.df, "mid", []))
+        assert out.schema.simpleString() == "struct<id:string,type:string,corpus:string>"
+        assert out.count() == 0
+
+    def test_plan_has_no_rdd(self, spark, table):
+        listed = spark.createDataFrame(
+            [(f"col::movies::{a}", G.COLUMN, "movies") for a in table.attr_cols],
+            "id string, type string, corpus string",
+        )
+        assert _scans_rdd(listed)  # the check sees a list-built frame
+        assert not _scans_rdd(column_nodes(spark, table))
+
+
+class TestPandasFrame:
+    def test_empty_is_sql_relation(self, spark):
+        out = pandas_frame(
+            spark, pd.DataFrame(columns=["src", "dst"]), "src string, dst array<string>"
+        )
+        assert out.schema.simpleString() == "struct<src:string,dst:array<string>>"
+        assert out.count() == 0
+        assert not _scans_rdd(out)
+
+    def test_rows_kept(self, spark):
+        pdf = pd.DataFrame({"a": ["x", "y"], "b": ["1", "2"]})
+        out = pandas_frame(spark, pdf, "a string, b string")
+        assert [tuple(r) for r in out.collect()] == [("x", "1"), ("y", "2")]
 
 
 class TestStructuredCorpus:

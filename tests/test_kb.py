@@ -2,6 +2,8 @@
 import pandas as pd
 import pytest
 
+from repro.core.graph import Graph, data_node_id
+from repro.core.merge import merge_synonyms
 from repro.kb.synth_kb import prepare_kb, prepare_synonyms, to_term
 
 
@@ -43,6 +45,12 @@ class TestPrepareKb:
         kb = pd.DataFrame({"subject": ["x y", "X Y"], "object": ["z", "Z"]})
         assert prepare_kb(spark, kb).count() == 1
 
+    def test_all_filtered(self, spark):
+        kb = pd.DataFrame({"subject": ["the", "cases"], "object": ["x", "case"]})
+        out = prepare_kb(spark, kb)
+        assert out.schema.simpleString() == "struct<subject:string,object:string>"
+        assert out.count() == 0
+
 
 class TestPrepareSynonyms:
     def test_variant_keyed(self, spark):
@@ -51,9 +59,27 @@ class TestPrepareSynonyms:
         assert out[0]["variant"] == "b_willi"
         assert out[0]["canonical"] == "bruce_willi"
 
+    @staticmethod
+    def _assert_merges_nothing(spark, syn):
+        """A 0-row (variant, canonical) frame that removes no graph node."""
+        assert syn.schema.simpleString() == "struct<variant:string,canonical:string>"
+        assert syn.count() == 0
+        ids = [data_node_id(t) for t in ("case", "x")] + ["t::1"]
+        nodes = spark.createDataFrame(
+            pd.DataFrame({"id": ids, "type": ["data", "data", "tuple"], "corpus": ["", "", "t"]})
+        )
+        edges = spark.createDataFrame(pd.DataFrame({"src": ids[:2], "dst": ids[2:] * 2}))
+        _, removed = merge_synonyms(Graph(nodes, edges), syn)
+        assert removed == 0
+
     def test_empty_frame(self, spark):
         out = prepare_synonyms(spark, pd.DataFrame(columns=["variant", "canonical"]))
-        assert out.count() == 0
+        self._assert_merges_nothing(spark, out)
+
+    def test_all_pairs_filtered(self, spark):
+        # "the" is a stopword (empty term); "cases" stems onto its canonical
+        syn = pd.DataFrame({"variant": ["the", "cases"], "canonical": ["x", "case"]})
+        self._assert_merges_nothing(spark, prepare_synonyms(spark, syn))
 
     def test_duplicate_variants_resolved(self, spark):
         syn = pd.DataFrame(
