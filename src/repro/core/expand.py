@@ -49,7 +49,7 @@ def expand_graph(
     data_terms = graph.nodes.where(F.col("type") == DATA).select(
         F.expr(f"substring(id, {len(DATA_PREFIX) + 1})").alias("subject")
     )
-    fetched = kb.join(data_terms, "subject", "left_semi")
+    fetched = kb.join(F.broadcast(data_terms), "subject", "left_semi")
 
     new_edges = fetched.select(
         F.concat(F.lit(DATA_PREFIX), "subject").alias("src"),
@@ -60,7 +60,7 @@ def expand_graph(
     new_nodes = (
         new_edges.select(F.col("dst").alias("id"))
         .distinct()
-        .join(graph.nodes.select("id"), "id", "left_anti")
+        .join(F.broadcast(graph.nodes.select("id")), "id", "left_anti")
         .withColumn("type", F.lit(DATA))
         .withColumn("corpus", F.lit(""))
         .cache()
@@ -73,7 +73,7 @@ def expand_graph(
     else:
         sinks = expanded.degrees().where(F.col("degree") <= 1).select("id")
         if sink_scope == "added":
-            sinks = sinks.join(new_nodes.select("id"), "id", "left_semi")
+            sinks = sinks.join(F.broadcast(new_nodes.select("id")), "id", "left_semi")
         out = expanded.without_nodes(sinks)
     edges.unpersist()
     new_nodes.unpersist()

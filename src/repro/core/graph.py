@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
@@ -179,8 +180,8 @@ class Graph:
         """Collected adjacency dict (node -> sorted neighbor list).
 
         Graphs in this reproduction are small (≤ a few hundred-k edges), so
-        adjacency is collected to the driver and broadcast to workers for
-        random walks / BFS (see DESIGN.md layering note).
+        adjacency is collected to the driver and broadcast to the workers
+        of the MSP BFS (see DESIGN.md layering note).
         """
         pdf = (
             self.symmetric_edges()
@@ -190,25 +191,78 @@ class Graph:
         )
         return dict(zip(pdf["src"], (list(n) for n in pdf["nbrs"])))
 
+    def index(self) -> "GraphIndex":
+        """The graph as a :class:`GraphIndex`, from one collect of every
+        node with its sorted neighbour set (isolated nodes included)."""
+        lonely = self.nodes.select("id", F.lit(None).cast("string").alias("dst"))
+        pdf = (
+            self.symmetric_edges()
+            .select(F.col("src").alias("id"), "dst")
+            .unionByName(lonely)
+            .groupBy("id")
+            .agg(F.sort_array(F.collect_set("dst")).alias("nbrs"))
+            .toPandas()
+        )
+        return GraphIndex.from_neighbours(pdf["id"], pdf["nbrs"])
+
     def subgraph(self, keep_nodes: DataFrame) -> "Graph":
         """Materialized induced subgraph on the nodes whose ids are in
         ``keep_nodes`` (a DataFrame with column ``id``, duplicates allowed)."""
-        return self._induced(self.nodes.join(keep_nodes.select("id"), "id", "left_semi"))
+        keep = F.broadcast(keep_nodes.select("id"))
+        return self._induced(self.nodes.join(keep, "id", "left_semi"))
 
     def without_nodes(self, drop_nodes: DataFrame) -> "Graph":
         """Materialized induced subgraph on the nodes not in ``drop_nodes``."""
-        return self._induced(self.nodes.join(drop_nodes.select("id"), "id", "left_anti"))
+        drop = F.broadcast(drop_nodes.select("id"))
+        return self._induced(self.nodes.join(drop, "id", "left_anti"))
 
     def _induced(self, nodes: DataFrame) -> "Graph":
         """Nodes first: checkpoint the kept nodes once, then keep the edges
         with both ends among them. Node ids are unique, so the semi/anti
         joins need no ``distinct`` and the keep set is computed once."""
         nodes = nodes.localCheckpoint(eager=True)
-        ids = nodes.select("id")
+        ids = F.broadcast(nodes.select("id"))
         edges = self.edges.join(ids.withColumnRenamed("id", "src"), "src", "left_semi").join(
             ids.withColumnRenamed("id", "dst"), "dst", "left_semi"
         )
         return Graph(nodes, edges.localCheckpoint(eager=True), self.term_corpus)
+
+
+@dataclass(frozen=True)
+class GraphIndex:
+    """A graph on the driver as integers (compressed sparse rows).
+
+    Node ``i`` is ``ids[i]``; ``ids`` is sorted, so integer order is id
+    order. Its neighbours are ``targets[offsets[i]:offsets[i + 1]]``,
+    ascending, which is the ``sort_array`` order of :meth:`Graph.adjacency`.
+    """
+
+    ids: np.ndarray  # object array of str, sorted
+    offsets: np.ndarray  # int64, len(ids) + 1
+    targets: np.ndarray  # int32
+
+    @classmethod
+    def from_neighbours(cls, ids: Sequence[str], nbrs: Sequence[Sequence[str]]) -> "GraphIndex":
+        """Index of the nodes ``ids`` (distinct, any order), ``nbrs[j]``
+        being the neighbour ids of ``ids[j]``, each one an id in ``ids``."""
+        ids = np.asarray(ids, dtype=object)
+        order = np.argsort(ids, kind="stable")
+        lists = [np.asarray(nbrs[j], dtype=object) for j in order]
+        sizes = np.fromiter((len(n) for n in lists), dtype=np.int64, count=len(lists))
+        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        ids = ids[order]
+        flat = np.concatenate(lists) if lists else np.zeros(0, dtype=object)
+        targets = np.searchsorted(ids, flat).astype(np.int32)
+        if len(flat) and not (ids[np.minimum(targets, len(ids) - 1)] == flat).all():
+            raise ValueError("a neighbour is not among the node ids")
+        # sort each row: ascending integers are ascending ids
+        row = np.repeat(np.arange(len(ids)), sizes)
+        targets = targets[np.lexsort((targets, row))]
+        return cls(ids, offsets, targets)
+
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.offsets)
 
 
 def canonical_edges(df: DataFrame) -> DataFrame:
@@ -412,10 +466,8 @@ def filter_to_term_corpus(graph: Graph, *, kb: Optional[DataFrame] = None) -> Gr
     if graph.term_corpus is None:
         raise ValueError("graph has no recorded term corpus")
     sym = graph.symmetric_edges()
-    first_meta = graph.metadata_nodes(graph.term_corpus).select("id")
-    keep = sym.join(first_meta.withColumnRenamed("id", "src"), "src", "left_semi").select(
-        F.col("dst").alias("id")
-    )
+    first_meta = graph.metadata_nodes(graph.term_corpus).select(F.col("id").alias("src"))
+    keep = sym.join(F.broadcast(first_meta), "src", "left_semi").select(F.col("dst").alias("id"))
     if kb is not None:
         kept_terms = keep.where(F.col("id").startswith(DATA_PREFIX)).select(
             F.expr(f"substring(id, {len(DATA_PREFIX) + 1})").alias("object")
@@ -424,7 +476,7 @@ def filter_to_term_corpus(graph: Graph, *, kb: Optional[DataFrame] = None) -> Gr
         kbe = kbe.unionByName(
             kbe.select(F.col("object").alias("subject"), F.col("subject").alias("object"))
         )
-        bridged = kbe.join(kept_terms, "object", "left_semi").select(
+        bridged = kbe.join(F.broadcast(kept_terms), "object", "left_semi").select(
             F.concat(F.lit(DATA_PREFIX), "subject").alias("id")
         )
         keep = keep.unionByName(bridged)

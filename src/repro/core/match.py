@@ -5,30 +5,34 @@ Given embeddings for query documents (first corpus) and target documents
 
 Two implementations:
 
-* :func:`top_k_matches` — production path: L2-normalize both sides, broadcast
-  the (small) target matrix, and let each partition of queries do a dense
-  matmul + arg-top-k in NumPy via ``mapInPandas``.
+* :func:`top_k_matches` — production path: collect both sides (a few
+  thousand vectors here), L2-normalize them, and rank with one dense matmul
+  and a stable sort on the driver (DESIGN.md layering note).
 * :func:`top_k_matches_join` — pure Spark-SQL formulation (explode vector
   dimensions, join, aggregate, window rank). Quadratic shuffle, used in
   tests to cross-check the dense path and as the reference semantics.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Tuple
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
+from .graph import pandas_frame
 
-def _normalized_pdf(emb: DataFrame, id_col: str) -> pd.DataFrame:
-    pdf = emb.select(F.col(id_col).alias("id"), "vector").toPandas()
-    mat = np.stack(pdf["vector"].map(np.asarray)) if len(pdf) else np.zeros((0, 1))
+
+def _unit_rows(pdf: pd.DataFrame) -> Tuple[np.ndarray, np.ndarray]:
+    """(ids ascending, L2-normalized vectors in that order) of a frame
+    (id, vector); zero vectors stay zero."""
+    ids = pdf["id"].to_numpy(dtype=object)
+    order = np.argsort(ids, kind="stable")
+    mat = np.stack(pdf["vector"].map(np.asarray))[order] if len(pdf) else np.zeros((0, 0))
     norms = np.linalg.norm(mat, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
-    pdf["_mat_row"] = range(len(pdf))
-    return pdf, mat / norms
+    return ids[order], mat / norms
 
 
 def top_k_matches(
@@ -44,36 +48,33 @@ def top_k_matches(
     Deterministic: ties in score are broken by target id (ascending), so two
     runs of the same pipeline produce identical ranked lists.
     """
-    spark = query_emb.sparkSession
-    t_pdf, t_mat = _normalized_pdf(target_emb, target_col)
-    t_ids = np.asarray(t_pdf["id"], dtype=object)
-    b_mat = spark.sparkContext.broadcast(t_mat)
-    b_ids = spark.sparkContext.broadcast(t_ids)
-    kk = min(k, len(t_ids))
-
-    def gen(batches: Iterable[pd.DataFrame]):
-        mat, ids = b_mat.value, b_ids.value
-        # secondary sort key: target id (stable tie-break)
-        id_order = np.argsort(np.argsort(ids))
-        for pdf in batches:
-            if pdf.empty:
-                yield pd.DataFrame(columns=["query", "target", "score", "rank"])
-                continue
-            q = np.stack(pdf["vector"].map(np.asarray))
-            qn = np.linalg.norm(q, axis=1, keepdims=True)
-            qn[qn == 0] = 1.0
-            sims = (q / qn) @ mat.T
-            out_rows = []
-            for qi, qid in enumerate(pdf["qid"]):
-                s = sims[qi]
-                # sort by (-score, id) for deterministic ties
-                order = np.lexsort((id_order, -s))[:kk]
-                for r, ti in enumerate(order, start=1):
-                    out_rows.append((qid, ids[ti], float(s[ti]), r))
-            yield pd.DataFrame(out_rows, columns=["query", "target", "score", "rank"])
-
-    q = query_emb.select(F.col(query_col).alias("qid"), "vector")
-    return q.mapInPandas(gen, "query string, target string, score double, rank int")
+    # one collect for both sides: Spark can reuse an exchange they share
+    sides = query_emb.select(
+        F.lit(True).alias("is_query"), F.col(query_col).cast("string").alias("id"), "vector"
+    ).unionByName(
+        target_emb.select(
+            F.lit(False).alias("is_query"), F.col(target_col).cast("string").alias("id"), "vector"
+        )
+    ).toPandas()
+    q_ids, q = _unit_rows(sides[sides["is_query"]])
+    t_ids, t = _unit_rows(sides[~sides["is_query"]])
+    kk = min(k, len(t_ids)) if len(q_ids) else 0
+    sims = q @ t.T if kk else np.zeros((len(q_ids), 0))
+    # targets are in id order, so a stable sort on -score breaks ties by id
+    top = np.argsort(-sims, axis=1, kind="stable")[:, :kk]
+    pdf = pd.DataFrame(
+        {
+            "query": np.repeat(q_ids, kk),
+            "target": t_ids[top.ravel()],
+            "score": np.take_along_axis(sims, top, axis=1).ravel(),
+            "rank": np.tile(np.arange(1, kk + 1, dtype=np.int32), len(q_ids)),
+        }
+    )
+    # a local relation; one partition keeps its order and spares each
+    # action on it a shuffle
+    return pandas_frame(
+        query_emb.sparkSession, pdf, "query string, target string, score double, rank int"
+    ).coalesce(1)
 
 
 def top_k_matches_join(

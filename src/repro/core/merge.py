@@ -106,7 +106,7 @@ def apply_node_mapping(graph: Graph, mapping: DataFrame) -> Tuple[Graph, int]:
 
     def _rewrite(df: DataFrame, col: str) -> DataFrame:
         return (
-            df.join(mapping.withColumnRenamed("old_id", col), col, "left")
+            df.join(F.broadcast(mapping.withColumnRenamed("old_id", col)), col, "left")
             .withColumn(col, F.coalesce("new_id", F.col(col)))
             .drop("new_id")
         )
@@ -148,7 +148,7 @@ def merge_synonyms(graph: Graph, synonyms: DataFrame) -> Tuple[Graph, int]:
     spark = graph.nodes.sparkSession
     mapping = spark.createDataFrame(
         pd.DataFrame(rows, columns=["old_id", "new_id"])
-    ).join(graph.nodes.select(F.col("id").alias("old_id")), "old_id", "left_semi")
+    ).join(F.broadcast(graph.nodes.select(F.col("id").alias("old_id"))), "old_id", "left_semi")
     return apply_node_mapping(graph, mapping)
 
 

@@ -11,6 +11,7 @@ from repro.core.graph import (
     data_node_id,
     filter_to_term_corpus,
 )
+from repro.core.merge import merge_synonyms
 
 
 @pytest.fixture(scope="module")
@@ -147,3 +148,25 @@ def test_filter_and_expand_independent_of_shuffle_partitions(spark):
     assert (data_node_id("film"), "data", "") not in f_nodes
     assert (data_node_id("comedy"), "data", "") in f_nodes
     assert (data_node_id("genre"), "data", "") in e_nodes
+
+
+class TestJoinPlans:
+    def test_graph_stages_broadcast_their_small_side(self, spark, g, monkeypatch):
+        # merge's left joins inflate the size estimates every later
+        # checkpoint keeps, which rules out size-based broadcasts as surely
+        # as conftest's threshold of -1: each join must carry its own hint
+        plans = []
+        frame = type(g.nodes)  # the session's DataFrame class
+        checkpoint = frame.localCheckpoint
+
+        def spy(df, *args, **kwargs):
+            plans.append(df._jdf.queryExecution().executedPlan().toString())
+            return checkpoint(df, *args, **kwargs)
+
+        monkeypatch.setattr(frame, "localCheckpoint", spy)
+        syn = spark.createDataFrame(pd.DataFrame({"variant": ["film"], "canonical": ["movie"]}))
+        kb = _kb(spark, [("tarantino", "comedy"), ("shyamalan", "vaswani"), ("drama", "style")])
+        merged = merge_synonyms(g, syn)[0]
+        expand_graph(filter_to_term_corpus(merged, kb=kb), kb)
+        assert sum("BroadcastHashJoin" in p for p in plans) >= 5
+        assert not [p for p in plans if "SortMergeJoin" in p]

@@ -279,6 +279,22 @@ class TestGraphOps:
         for u, nbrs in adj.items():
             assert u not in nbrs
 
+    def test_index_matches_adjacency(self, g1):
+        index = g1.index()
+        adj = g1.adjacency()
+        assert list(index.ids) == sorted(r["id"] for r in g1.nodes.collect())
+        for i, u in enumerate(index.ids):
+            nbrs = index.targets[index.offsets[i] : index.offsets[i + 1]]
+            assert [index.ids[j] for j in nbrs] == adj.get(u, [])
+
+    def test_index_sorts_rows_and_rejects_unknown_neighbours(self):
+        index = G.GraphIndex.from_neighbours(["b", "c", "a"], [["c", "a"], ["b"], ["b"]])
+        assert list(index.ids) == ["a", "b", "c"]
+        assert index.offsets.tolist() == [0, 1, 3, 4]
+        assert index.targets.tolist() == [1, 0, 2, 1]
+        with pytest.raises(ValueError):
+            G.GraphIndex.from_neighbours(["a", "b"], [["b"], ["z"]])
+
     def test_subgraph_induced(self, spark, g1):
         keep = g1.nodes.limit(5).select("id")
         sub = g1.subgraph(keep)

@@ -72,6 +72,20 @@ class TestTopK:
         out = top_k_matches(q, t, k=2).toPandas().sort_values("rank")
         assert list(out["target"]) == ["a", "b"]  # equal scores -> id order
 
+    @pytest.mark.parametrize("empty", ["query", "target"])
+    def test_empty_side_gives_empty_ranking(self, qt, empty):
+        q, t = qt
+        if empty == "query":
+            q = q.limit(0)
+        else:
+            t = t.limit(0)
+        out = top_k_matches(q, t, k=3)
+        assert out.count() == 0
+        schema = "struct<query:string,target:string,score:double,rank:int>"
+        assert out.schema.simpleString() == schema
+        # built in Spark SQL, not through PySpark's pickled-RDD path
+        assert "LogicalRDD" not in out._jdf.queryExecution().analyzed().toString()
+
     def test_zero_vector_does_not_crash(self, spark):
         q = _emb(spark, [("q", [0.0, 0.0])])
         t = _emb(spark, [("a", [1.0, 0.0])])

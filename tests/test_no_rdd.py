@@ -1,9 +1,15 @@
-"""Source guard for DESIGN.md's "no raw RDDs" rule.
+"""Source guards for DESIGN.md's "no raw RDDs" rule and layering note.
 
 ``createDataFrame(<list>)`` and ``parallelize`` pickle driver values
 through an RDD job, whose workers start a second Python worker pool next to
-the one the SQL UDFs use; ``.rdd`` leaves the DataFrame API. This test
-parses every module of the package with ``ast`` and lists each such call.
+the one the SQL UDFs use; ``.rdd`` leaves the DataFrame API. The first
+guard parses every module of the package with ``ast`` and lists each such
+call.
+
+An Arrow UDF loads pandas and pyarrow into every Python worker that runs
+it, about doubling the worker's memory. The W-RW pipeline's modules run
+none; the second guard lists each Arrow UDF name they mention. MSP
+(``core/compress.py``) keeps its ``mapInPandas`` BFS and is exempt.
 """
 import ast
 from pathlib import Path
@@ -12,6 +18,9 @@ from typing import List
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 _LITERALS = (ast.List, ast.Tuple, ast.ListComp, ast.GeneratorExp)
+
+W_RW_MODULES = ("graph", "merge", "expand", "walks", "embed", "match", "pipeline")
+_ARROW_UDFS = {"mapInPandas", "mapInArrow", "pandas_udf", "applyInPandas"}
 
 
 def rdd_uses(root: Path) -> List[str]:
@@ -50,3 +59,39 @@ def test_guard_flags_each_form(tmp_path):
         "ok = spark.range(1).select(F.inline(F.array()))\n"
     )
     assert rdd_uses(tmp_path) == [f"m.py:{i}" for i in range(1, 6)]
+
+
+def arrow_udf_uses(paths: List[Path]) -> List[str]:
+    """``file:line`` of every attribute, name or import among ``paths``
+    that is one of the Arrow UDF entry points."""
+    found = []
+    for path in paths:
+        lines = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node))
+            if name and getattr(node, name) in _ARROW_UDFS:
+                lines.add(node.lineno)
+        found += [f"{path.name}:{i}" for i in sorted(lines)]
+    return found
+
+
+def test_w_rw_modules_run_no_arrow_udf():
+    paths = [SRC / "core" / f"{m}.py" for m in W_RW_MODULES]
+    assert all(p.is_file() for p in paths)
+    assert arrow_udf_uses(paths) == []
+    # the exempt MSP module is seen
+    assert arrow_udf_uses([SRC / "core" / "compress.py"]) != []
+
+
+def test_arrow_guard_flags_each_form(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "a = df.mapInPandas(f, 'x int')\n"
+        "b = df.mapInArrow(f, 'x int')\n"
+        "c = df.groupBy('k').applyInPandas(f, 'x int')\n"
+        "d = F.pandas_udf(f, 'double')\n"
+        "from pyspark.sql.functions import pandas_udf\n"
+        "e = pandas_udf(f, 'double')\n"
+        "ok = F.udf(f, 'double')\n"
+        "ok = spark.createDataFrame(table, 'x int')\n"
+    )
+    assert arrow_udf_uses([tmp_path / "m.py"]) == [f"m.py:{i}" for i in range(1, 7)]

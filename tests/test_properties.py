@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from repro.core.compress import all_shortest_path_edges, bfs_parents, shortest_path_edges
 from repro.core.metrics import node_score
 from repro.core.preprocess import TERM_SEP, terms
-from repro.core.walks import walk_from
+from repro.core.graph import GraphIndex
+from repro.core.walks import _walk_seed, default_rng_raw, walk_from, walk_pass
 
 # random small graphs as edge lists over a fixed node universe
 NODES = list("abcdefgh")
@@ -105,6 +106,32 @@ class TestWalkProperties:
         assert 1 <= len(w) <= length
         for u, v in zip(w, w[1:]):
             assert v in adj[u]
+
+
+    @given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=8),
+           st.integers(min_value=0, max_value=9))
+    @settings(max_examples=60, deadline=None)
+    def test_rng_replay_equals_random_raw(self, seeds, n):
+        got = default_rng_raw(np.array(seeds, dtype=np.uint64), n)
+        for s, row in zip(seeds, got):
+            assert row.tolist() == np.random.default_rng(s).bit_generator.random_raw(n).tolist()
+
+    @given(edges_st, st.sampled_from([1, 2, 7, 12]), st.integers(min_value=0, max_value=30),
+           st.integers(min_value=0, max_value=2**40))
+    @settings(max_examples=80, deadline=None)
+    def test_walk_pass_equals_walk_from(self, edges, length, walk_idx, seed):
+        # "iso" is isolated and "leaf" has degree 1, whatever the edges
+        adj = _adj(edges)
+        adj["a"] = sorted(adj["a"] + ["leaf"])
+        adj.update(leaf=["a"], iso=[])
+        index = GraphIndex.from_neighbours(list(adj)[::-1], [adj[k] for k in list(adj)[::-1]])
+        walks, lengths = walk_pass(index, walk_idx=walk_idx, walk_length=length, seed=seed)
+        got = [[index.ids[j] for j in row[:n]] for row, n in zip(walks, lengths)]
+        want = [
+            walk_from(adj, s, length, np.random.default_rng(_walk_seed(seed, s, walk_idx)))
+            for s in sorted(adj)
+        ]
+        assert got == want
 
 
 paths_st = st.lists(st.sampled_from(list("xyzuvw")), min_size=1, max_size=6).map(tuple)

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core import walks as W
+
 from repro.core.embed import mean_pool, train_embeddings, train_token_embeddings
 from repro.core.graph import (
+    Graph,
+    GraphIndex,
     TableCorpus,
     TextCorpus,
     build_graph,
@@ -64,9 +68,52 @@ class TestGenerateWalks:
                 assert v in adj[u]
 
     def test_deterministic_across_partitionings(self, spark, g):
-        a = sorted(tuple(r["walk"]) for r in generate_walks(g, num_walks=2, walk_length=5, seed=1).collect())
-        b = sorted(tuple(r["walk"]) for r in generate_walks(g, num_walks=2, walk_length=5, seed=1).collect())
-        assert a == b
+        def walks(graph):
+            out = generate_walks(graph, num_walks=2, walk_length=5, seed=1)
+            return [r["walk"] for r in out.collect()]
+
+        ref = walks(Graph(g.nodes.coalesce(1), g.edges.coalesce(1), g.term_corpus))
+        assert walks(Graph(g.nodes.repartition(7), g.edges.repartition(5), g.term_corpus)) == ref
+        before = spark.conf.get("spark.sql.shuffle.partitions")
+        try:
+            for n in ("3", "64"):
+                spark.conf.set("spark.sql.shuffle.partitions", n)
+                assert walks(g) == ref
+        finally:
+            spark.conf.set("spark.sql.shuffle.partitions", before)
+        # pass by pass, each pass in node-id order
+        ids = sorted(r["id"] for r in g.nodes.collect())
+        assert [w[0] for w in ref] == ids + ids
+
+    def test_partitions_fixed(self, g):
+        # not defaultParallelism, which Word2Vec's vocabulary order would follow
+        walks = generate_walks(g, num_walks=3, walk_length=4, seed=0)
+        assert walks.rdd.getNumPartitions() == 1
+
+    def test_empty_graph(self, spark, g):
+        empty = Graph(g.nodes.limit(0), g.edges.limit(0), g.term_corpus)
+        walks = generate_walks(empty, num_walks=2, walk_length=5, seed=0)
+        assert walks.count() == 0
+        assert walks.schema.simpleString() == "struct<walk:array<string>>"
+        assert "LogicalRDD" not in walks._jdf.queryExecution().analyzed().toString()
+
+    def test_isolated_nodes_only(self, spark, g):
+        lonely = Graph(g.nodes, g.edges.limit(0), g.term_corpus)
+        out = generate_walks(lonely, num_walks=2, walk_length=5, seed=0)
+        got = [r["walk"] for r in out.collect()]
+        ids = sorted(r["id"] for r in g.nodes.collect())
+        assert got == [[i] for i in ids + ids]
+
+    def test_equals_walk_from(self, g):
+        adj = g.adjacency()
+        ids = sorted(r["id"] for r in g.nodes.collect())
+        want = [
+            walk_from(adj, s, 6, np.random.default_rng(W._walk_seed(3, s, w)))
+            for w in range(4)
+            for s in ids
+        ]
+        got = [r["walk"] for r in generate_walks(g, num_walks=4, walk_length=6, seed=3).collect()]
+        assert got == want
 
     def test_seed_changes_walks(self, g):
         a = sorted(tuple(r["walk"]) for r in generate_walks(g, num_walks=2, walk_length=8, seed=1).collect())
@@ -76,6 +123,41 @@ class TestGenerateWalks:
     def test_every_node_starts_walks(self, g):
         starts = {r["walk"][0] for r in generate_walks(g, num_walks=1, walk_length=3, seed=0).collect()}
         assert starts == {r["id"] for r in g.nodes.collect()}
+
+
+class TestRngReplay:
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1])
+    def test_equals_random_raw(self, seed):
+        want = np.random.default_rng(seed).bit_generator.random_raw(9)
+        got = W.default_rng_raw(np.array([seed, 5], dtype=np.uint64), 9)[0]
+        assert got.tolist() == want.tolist()
+
+    def test_forced_rejection_falls_back(self, monkeypatch):
+        # "a" has degree 3: a raw draw of 0 gives m = 0, whose low word 0 is
+        # below 2**32 mod 3 = 1, so NumPy would draw again
+        adj = {"a": ["b", "c", "d"], "b": ["a"], "c": ["a"], "d": ["a"]}
+        index = GraphIndex.from_neighbours(list(adj), list(adj.values()))
+        replay, fallbacks = W.default_rng_raw, []
+
+        def zero_first(seeds, n):
+            out = replay(seeds, n)
+            out[0, 0] = 0  # the first walk, from "a"
+            return out
+
+        def spy(*args):
+            fallbacks.append(args[1])
+            return walk_from(*args)
+
+        monkeypatch.setattr(W, "default_rng_raw", zero_first)
+        monkeypatch.setattr(W, "walk_from", spy)
+        walks, lengths = W.walk_pass(index, walk_idx=2, walk_length=7, seed=11)
+        assert fallbacks == [0]
+        want = [
+            walk_from(adj, s, 7, np.random.default_rng(W._walk_seed(11, s, 2)))
+            for s in sorted(adj)
+        ]
+        assert [[index.ids[j] for j in row] for row in walks] == want
+        assert (lengths == 7).all()
 
 
 class TestEmbeddings:
