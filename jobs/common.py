@@ -2,9 +2,9 @@
 
 Each ``jobs/tableN_*.py`` exposes ``run(spark, scale=...) -> pandas.DataFrame``
 returning the same rows the paper's table reports, and a ``main()`` so it
-can be launched with ``spark-submit jobs/tableN_*.py [scale]``. Benchmarks
-wrap the same ``run`` functions. Paper-vs-measured numbers are recorded in
-EXPERIMENTS.md.
+can be launched with ``python -m jobs.tableN_* [scale]`` from the repo root.
+Benchmarks wrap the same ``run`` functions. Paper-vs-measured numbers are
+recorded in EXPERIMENTS.md.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ VEC_SIZE = int(os.environ.get("REPRO_VEC_SIZE", "64"))
 
 
 def get_spark(app: str) -> SparkSession:
-    """Session for standalone spark-submit runs (tests use the conftest
+    """Session for standalone job runs (tests use the conftest
     fixture instead; getOrCreate reuses an existing session if any)."""
     return (
         SparkSession.builder.appName(app)

@@ -7,12 +7,6 @@ from pyspark.sql import SparkSession
 
 from repro.datasets import claims
 
-import os as _os
-import sys as _sys
-
-# allow `spark-submit jobs/<job>.py` where sys.path[0] is jobs/
-_sys.path.insert(0, _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__))))
-
 from jobs.common import cli_scale, get_spark, print_table
 from jobs.table4_politifact import run_claims_table
 

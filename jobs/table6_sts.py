@@ -11,12 +11,6 @@ from repro.core.pipeline import TDMatchConfig, run_tdmatch
 from repro.datasets import sts
 from repro.kb.synth_kb import prepare_kb, prepare_synonyms
 
-import os as _os
-import sys as _sys
-
-# allow `spark-submit jobs/<job>.py` where sys.path[0] is jobs/
-_sys.path.insert(0, _os.path.dirname(_os.path.dirname(_os.path.abspath(__file__))))
-
 from jobs.common import N_WALKS, VEC_SIZE, WALK_LEN, cli_scale, get_spark, print_table, ranking_row
 
 K = 20

@@ -12,12 +12,15 @@
   The real SSuM minimizes a reconstruction error we do not need for a
   comparison baseline; DESIGN.md documents the substitution.
 
-BFS shortest-path enumeration is pure Python over an adjacency dict (unit
-testable). The sampled pairs are grouped by source: one BFS per source gives
-the shortest-path DAG to all of its destinations (Brandes 2001), and one
-backtrack seeded with all of them collects their path edges. The per-source
-work is distributed with ``mapInPandas`` with the adjacency broadcast, per
-the DESIGN.md layering note.
+MSP runs on the driver over the graph's
+:class:`~repro.core.graph.GraphIndex`, the integer CSR the walks use (DESIGN.md
+layering note). The sampled pairs are grouped by source: one
+level-synchronous NumPy BFS per source gives the shortest-path DAG to all
+of its destinations (Brandes 2001), and one backtrack through it, level by
+level from the reachable destinations, marks their path edges
+(:func:`shortest_path_mask`). :func:`bfs_parents` and
+:func:`shortest_path_edges` are the same algorithm in pure Python over an
+adjacency dict, the reference the tests compare against.
 """
 from __future__ import annotations
 
@@ -26,10 +29,9 @@ from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from .graph import Graph, canonical_edges, pandas_frame
+from .graph import DOC_TYPES, METADATA_TYPES, Graph, GraphIndex, pandas_frame
 
 
 def bfs_parents(adj: Dict[str, List[str]], src: str) -> Tuple[Dict[str, int], Dict[str, List[str]]]:
@@ -116,27 +118,42 @@ def sample_pairs(
     return pairs
 
 
-def _paths_edges_df(
-    spark: SparkSession, pairs: pd.DataFrame, adj: Dict[str, List[str]]
-) -> DataFrame:
-    """Distributed shortest-path edges of the sampled pairs, one BFS per
-    source -> DataFrame(src, dst) of canonical edges, possibly repeated."""
-    if pairs.empty:
-        return pandas_frame(spark, pairs, "src string, dst string")
-    b_adj = spark.sparkContext.broadcast(adj)
-    by_src = pairs.groupby("src")["dst"].agg(list).reset_index()
+def _entries(offsets: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Positions in the CSR targets of every neighbour entry of ``nodes``."""
+    starts = offsets[nodes]
+    sizes = offsets[nodes + 1] - starts
+    return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
 
-    def gen(batches: Iterable[pd.DataFrame]):
-        a = b_adj.value
-        for pdf in batches:
-            rows: List[Tuple[str, str]] = []
-            for s, ds in zip(pdf["src"], pdf["dst"]):
-                rows.extend(shortest_path_edges(a, s, ds))
-            yield pd.DataFrame(rows, columns=["src", "dst"])
 
-    n_part = min(spark.sparkContext.defaultParallelism, len(by_src))
-    src_df = spark.createDataFrame(by_src, "src string, dst array<string>").repartition(n_part)
-    return src_df.mapInPandas(gen, "src string, dst string")
+def shortest_path_mask(index: GraphIndex, src: int, dsts: np.ndarray) -> np.ndarray:
+    """Mask over ``index.targets`` of the edges on *any* shortest path from
+    node ``src`` to any of the nodes ``dsts`` (integer ids, may repeat).
+
+    :func:`shortest_path_edges` over the CSR: the BFS runs one level at a
+    time until every destination is reached or the frontier is empty; the
+    backtrack then walks the levels down from the reachable destinations,
+    keeping each entry ``v -> u`` whose end ``u`` is one level closer to
+    ``src``. Each kept edge is marked in that one direction only.
+    """
+    offsets, targets = index.offsets, index.targets
+    dist = np.full(len(index.ids), -1, dtype=np.int64)
+    dist[src] = 0
+    levels = [np.array([src])]
+    while levels[-1].size and (dist[dsts] < 0).any():
+        nbrs = targets[_entries(offsets, levels[-1])]
+        new = np.unique(nbrs[dist[nbrs] < 0])
+        dist[new] = len(levels)
+        levels.append(new)
+    keep = np.zeros(len(targets), dtype=bool)
+    on_path = np.zeros(len(index.ids), dtype=bool)
+    on_path[dsts[dist[dsts] > 0]] = True
+    for level in range(len(levels) - 1, 0, -1):
+        nodes = levels[level][on_path[levels[level]]]
+        entries = _entries(offsets, nodes)
+        entries = entries[dist[targets[entries]] == level - 1]
+        keep[entries] = True
+        on_path[targets[entries]] = True
+    return keep
 
 
 def msp_compress(
@@ -149,7 +166,8 @@ def msp_compress(
     node left unsampled gets one extra pair so it stays connected.
     """
     spark = graph.nodes.sparkSession
-    docs = graph.doc_nodes().select("id", "corpus").toPandas()
+    nodes = graph.nodes.select("id", "type", "corpus").toPandas()
+    docs = nodes[nodes["type"].isin(DOC_TYPES)]
     corpora = sorted(docs["corpus"].unique())
     if len(corpora) != 2:
         raise ValueError(f"MSP needs exactly two corpora, got {corpora}")
@@ -157,21 +175,25 @@ def msp_compress(
     first = sorted(docs.loc[docs["corpus"] == corpora[0], "id"])
     second = sorted(docs.loc[docs["corpus"] == corpora[1], "id"])
 
-    n_nodes = graph.num_nodes()
-    L = max(1, int(beta * n_nodes))
-    adj = graph.adjacency()
+    index = graph.index()
+    L = max(1, int(beta * len(index.ids)))
     pairs = sample_pairs(first, second, L, seed, ensure_all_metadata=ensure_all_metadata)
-    kept_edges = canonical_edges(_paths_edges_df(spark, pairs, adj)).cache()
+    src = np.searchsorted(index.ids, pairs["src"].to_numpy(dtype=object))
+    dst = np.searchsorted(index.ids, pairs["dst"].to_numpy(dtype=object))
+    keep = np.zeros(len(index.targets), dtype=bool)
+    for s in np.unique(src):
+        keep |= shortest_path_mask(index, s, dst[src == s])
+    # ids are sorted, so (min, max) of node numbers is canonical_edges' order
+    ends = np.stack([np.repeat(np.arange(len(index.ids)), index.degrees()), index.targets])
+    lo, hi = np.unique(np.sort(ends[:, keep], axis=0), axis=1)
+    edges = pd.DataFrame({"src": index.ids[lo], "dst": index.ids[hi]})
     # metadata nodes always survive, even if isolated (matching needs them)
-    kept_nodes = (
-        kept_edges.select(F.col("src").alias("id"))
-        .union(kept_edges.select(F.col("dst").alias("id")))
-        .union(graph.metadata_nodes().select("id"))
-    )
-    nodes = graph.nodes.join(kept_nodes, "id", "left_semi")
-    out = Graph(nodes, kept_edges, graph.term_corpus).materialize()
-    kept_edges.unpersist()
-    return out
+    kept = nodes["type"].isin(METADATA_TYPES) | nodes["id"].isin(index.ids[np.union1d(lo, hi)])
+    return Graph(
+        pandas_frame(spark, nodes[kept].sort_values("id"), "id string, type string, corpus string"),
+        pandas_frame(spark, edges, "src string, dst string"),
+        graph.term_corpus,
+    ).materialize()
 
 
 def ssum_like_compress(graph: Graph, *, ratio: float, seed: int = 0) -> Graph:

@@ -27,7 +27,7 @@ only terms already in the graph. Callers pass corpora in any order;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import pandas as pd
@@ -164,7 +164,7 @@ class Graph:
         return out
 
     def symmetric_edges(self) -> DataFrame:
-        """Both directions of every undirected edge (for adjacency/joins)."""
+        """Both directions of every undirected edge (for the index/joins)."""
         rev = self.edges.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
         return self.edges.unionByName(rev)
 
@@ -175,21 +175,6 @@ class Graph:
             .groupBy(F.col("src").alias("id"))
             .agg(F.count("*").alias("degree"))
         )
-
-    def adjacency(self) -> Dict[str, List[str]]:
-        """Collected adjacency dict (node -> sorted neighbor list).
-
-        Graphs in this reproduction are small (≤ a few hundred-k edges), so
-        adjacency is collected to the driver and broadcast to the workers
-        of the MSP BFS (see DESIGN.md layering note).
-        """
-        pdf = (
-            self.symmetric_edges()
-            .groupBy("src")
-            .agg(F.sort_array(F.collect_set("dst")).alias("nbrs"))
-            .toPandas()
-        )
-        return dict(zip(pdf["src"], (list(n) for n in pdf["nbrs"])))
 
     def index(self) -> "GraphIndex":
         """The graph as a :class:`GraphIndex`, from one collect of every
@@ -234,7 +219,7 @@ class GraphIndex:
 
     Node ``i`` is ``ids[i]``; ``ids`` is sorted, so integer order is id
     order. Its neighbours are ``targets[offsets[i]:offsets[i + 1]]``,
-    ascending, which is the ``sort_array`` order of :meth:`Graph.adjacency`.
+    ascending. Walks and MSP both run over it.
     """
 
     ids: np.ndarray  # object array of str, sorted

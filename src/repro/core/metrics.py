@@ -1,8 +1,8 @@
 """Evaluation measures used in the paper's tables.
 
-* :func:`ranking_metrics` — MRR, MAP@k, HasPositive@k (Tables I, II, IV, V,
-  VI). Spark-SQL implementation over a ranked-matches DataFrame; the DuckDB
-  oracle cross-checks it in tests.
+* :func:`ranking_metrics_pdf` — MRR, MAP@k, HasPositive@k (Tables I, II,
+  IV, V, VI), on the driver over pandas frames: a ranked list is queries × k
+  rows. The DuckDB oracle cross-checks it in tests.
 * :func:`path_metrics` — Exact and Node Precision/Recall/F-score for the
   taxonomy-matching task (Table III), including the Node score of formula
   (1) with the two most-general taxonomy levels excluded.
@@ -18,84 +18,12 @@ from __future__ import annotations
 from typing import Dict, List, Sequence, Tuple
 
 import pandas as pd
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
-
-
-def ranking_metrics(
-    ranked: DataFrame, truth: DataFrame, *, ks: Sequence[int] = (1, 5, 20)
-) -> Dict[str, float]:
-    """MRR / MAP@k / HasPositive@k over all queries in ``truth``."""
-    truth = truth.select(
-        F.col("query").cast("string"), F.col("target").cast("string")
-    ).distinct().cache()
-    n_queries = truth.select("query").distinct().count()
-    if n_queries == 0:
-        raise ValueError("empty ground truth")
-    rel_counts = truth.groupBy("query").agg(F.count("*").alias("n_rel"))
-
-    hits = (
-        ranked.select(
-            F.col("query").cast("string"),
-            F.col("target").cast("string"),
-            "rank",
-        )
-        .join(truth.withColumn("_rel", F.lit(1)), ["query", "target"], "left")
-        .withColumn("_rel", F.coalesce("_rel", F.lit(0)))
-    )
-    w = Window.partitionBy("query").orderBy("rank")
-    hits = hits.withColumn("cum_rel", F.sum("_rel").over(w)).cache()
-
-    # MRR: reciprocal rank of first relevant hit, 0 when none
-    first_hit = (
-        hits.where(F.col("_rel") == 1)
-        .groupBy("query")
-        .agg(F.min("rank").alias("first_rank"))
-    )
-    mrr = (
-        truth.select("query").distinct()
-        .join(first_hit, "query", "left")
-        .agg(F.sum(F.coalesce(1.0 / F.col("first_rank"), F.lit(0.0))).alias("s"))
-        .first()["s"]
-    ) / n_queries
-
-    out = {"MRR": float(mrr)}
-    for k in ks:
-        ap = (
-            hits.where((F.col("_rel") == 1) & (F.col("rank") <= k))
-            .groupBy("query")
-            .agg(F.sum(F.col("cum_rel") / F.col("rank")).alias("ap_num"))
-            .join(rel_counts, "query")
-            .select(
-                "query",
-                (F.col("ap_num") / F.least(F.col("n_rel"), F.lit(k))).alias("ap"),
-            )
-        )
-        map_k = (
-            truth.select("query").distinct()
-            .join(ap, "query", "left")
-            .agg(F.sum(F.coalesce("ap", F.lit(0.0))).alias("s"))
-            .first()["s"]
-        ) / n_queries
-        haspos = (
-            hits.where((F.col("_rel") == 1) & (F.col("rank") <= k))
-            .select("query")
-            .distinct()
-            .count()
-        ) / n_queries
-        out[f"MAP@{k}"] = float(map_k)
-        out[f"HasPositive@{k}"] = float(haspos)
-    return out
 
 
 def ranking_metrics_pdf(
     ranked: pd.DataFrame, truth: pd.DataFrame, *, ks: Sequence[int] = (1, 5, 20)
 ) -> Dict[str, float]:
-    """Fast driver-side twin of :func:`ranking_metrics` (same semantics).
-
-    Ranked lists are small (queries × k rows), so jobs/benchmarks evaluate
-    in pandas; tests assert both implementations agree on the same input.
-    """
+    """MRR / MAP@k / HasPositive@k over all queries in ``truth``."""
     truth = truth.astype({"query": str, "target": str}).drop_duplicates()
     queries = sorted(set(truth["query"]))
     if not queries:

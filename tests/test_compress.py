@@ -11,6 +11,7 @@ from repro.core.compress import (
     ssum_like_compress,
 )
 from repro.core.graph import Graph, TableCorpus, TextCorpus, build_graph
+from tests.helpers import adjacency
 
 
 # a diamond with a pendant: a-b, a-c, b-d, c-d, d-e
@@ -143,6 +144,27 @@ class TestMsp:
 
         assert compressed(F.col("id")) == compressed(F.desc("id"))
 
+    def test_independent_of_partitioning(self, spark, small_graph):
+        def compressed(graph):
+            out = msp_compress(graph, beta=0.5, seed=4)
+            return (
+                sorted(tuple(r) for r in out.nodes.collect()),
+                sorted(tuple(r) for r in out.edges.collect()),
+            )
+
+        g = small_graph
+        ref = compressed(Graph(g.nodes.coalesce(1), g.edges.coalesce(1), g.term_corpus))
+        assert ref[1]
+        assert compressed(Graph(g.nodes.repartition(7), g.edges.repartition(5), g.term_corpus)) == ref
+        key = "spark.sql.shuffle.partitions"
+        before = spark.conf.get(key)
+        try:
+            for n in ("3", "64"):
+                spark.conf.set(key, n)
+                assert compressed(g) == ref
+        finally:
+            spark.conf.set(key, before)
+
     @pytest.mark.parametrize("beta,seed", [(0.25, 1), (2.0, 0)])
     def test_equals_per_pair_reference(self, small_graph, beta, seed):
         """One BFS per source keeps exactly the edges of the per-pair loop."""
@@ -152,7 +174,7 @@ class TestMsp:
         )
         n = max(1, int(beta * small_graph.num_nodes()))
         pairs = sample_pairs(first, second, n, seed)
-        adj = small_graph.adjacency()
+        adj = adjacency(small_graph)
         want_edges = set()
         for s, d in zip(pairs["src"], pairs["dst"]):
             want_edges.update(all_shortest_path_edges(adj, s, d))

@@ -103,11 +103,12 @@ class TestExpand:
     def test_shortens_paths(self, spark, g):
         """The §III-A promise: expansion shortens metadata-metadata paths."""
         from repro.core.compress import bfs_parents
+        from tests.helpers import adjacency
 
         kb = _kb(spark, [("tarantino", "comedy")])
         out = expand_graph(g, kb)
-        d0, _ = bfs_parents(g.adjacency(), "s::1")
-        d1, _ = bfs_parents(out.adjacency(), "s::1")
+        d0, _ = bfs_parents(adjacency(g), "s::1")
+        d1, _ = bfs_parents(adjacency(out), "s::1")
         assert d1["t::1"] <= d0["t::1"]
 
 

@@ -7,9 +7,9 @@ guard parses every module of the package with ``ast`` and lists each such
 call.
 
 An Arrow UDF loads pandas and pyarrow into every Python worker that runs
-it, about doubling the worker's memory. The W-RW pipeline's modules run
-none; the second guard lists each Arrow UDF name they mention. MSP
-(``core/compress.py``) keeps its ``mapInPandas`` BFS and is exempt.
+it, about doubling the worker's memory. The pipeline's modules, MSP's
+``compress`` included, run none; the second guard lists each Arrow UDF name
+they mention.
 """
 import ast
 from pathlib import Path
@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 _LITERALS = (ast.List, ast.Tuple, ast.ListComp, ast.GeneratorExp)
 
-W_RW_MODULES = ("graph", "merge", "expand", "walks", "embed", "match", "pipeline")
+W_RW_MODULES = ("graph", "merge", "expand", "compress", "walks", "embed", "match", "pipeline")
 _ARROW_UDFS = {"mapInPandas", "mapInArrow", "pandas_udf", "applyInPandas"}
 
 
@@ -79,8 +79,6 @@ def test_w_rw_modules_run_no_arrow_udf():
     paths = [SRC / "core" / f"{m}.py" for m in W_RW_MODULES]
     assert all(p.is_file() for p in paths)
     assert arrow_udf_uses(paths) == []
-    # the exempt MSP module is seen
-    assert arrow_udf_uses([SRC / "core" / "compress.py"]) != []
 
 
 def test_arrow_guard_flags_each_form(tmp_path):

@@ -168,11 +168,9 @@ class TestRankingOracle:
             }
         )
         truth = pd.DataFrame({"query": ["q1", "q2"], "target": ["b", "a"]})
-        from repro.core.metrics import ranking_metrics
+        from repro.core.metrics import ranking_metrics_pdf
 
-        m = ranking_metrics(
-            spark.createDataFrame(ranked), spark.createDataFrame(truth), ks=(1,)
-        )
+        m = ranking_metrics_pdf(ranked, truth, ks=(1,))
         got = spark.createDataFrame(pd.DataFrame({"hp": [m["HasPositive@1"]]}))
         sql = """
             SELECT COUNT(DISTINCT r.query) * 1.0 /

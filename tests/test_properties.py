@@ -3,7 +3,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.compress import all_shortest_path_edges, bfs_parents, shortest_path_edges
+from repro.core.compress import (
+    all_shortest_path_edges,
+    bfs_parents,
+    shortest_path_edges,
+    shortest_path_mask,
+)
 from repro.core.metrics import node_score
 from repro.core.preprocess import TERM_SEP, terms
 from repro.core.graph import GraphIndex
@@ -93,6 +98,28 @@ class TestBfsProperties:
         for d in dsts:
             want.update(all_shortest_path_edges(adj, src, d))
         assert shortest_path_edges(adj, src, dsts + [src]) == sorted(want)
+
+    @given(edges_st, st.sampled_from(NODES + ["iso"]), st.lists(st.sampled_from(NODES), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_csr_mask_equals_union_of_pairs(self, edges, src, dsts):
+        # "iso" is isolated whatever the edges, so unreachable from any
+        # other source; dsts may repeat and contain src
+        adj = _adj(edges)
+        adj["iso"] = []
+        dsts = dsts + ["iso", src]
+        index = GraphIndex.from_neighbours(list(adj)[::-1], [adj[k] for k in list(adj)[::-1]])
+        keep = shortest_path_mask(
+            index,
+            int(np.searchsorted(index.ids, src)),
+            np.searchsorted(index.ids, np.array(dsts, dtype=object)),
+        )
+        rows = np.repeat(np.arange(len(index.ids)), index.degrees())
+        got = [tuple(sorted(index.ids[[u, v]])) for u, v in zip(rows[keep], index.targets[keep])]
+        want = set()
+        for d in dsts:
+            want.update(all_shortest_path_edges(adj, src, d))
+        # every kept edge is marked once, in one direction
+        assert sorted(got) == sorted(want)
 
 
 class TestWalkProperties:

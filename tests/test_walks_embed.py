@@ -17,6 +17,7 @@ from repro.core.graph import (
     filter_to_term_corpus,
 )
 from repro.core.walks import generate_walks, walk_from
+from tests.helpers import adjacency
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +62,7 @@ class TestGenerateWalks:
         assert walks.count() == 3 * g.num_nodes()
 
     def test_walks_traverse_real_edges(self, g):
-        adj = g.adjacency()
+        adj = adjacency(g)
         for row in generate_walks(g, num_walks=2, walk_length=6, seed=0).collect():
             w = row["walk"]
             for u, v in zip(w, w[1:]):
@@ -105,7 +106,7 @@ class TestGenerateWalks:
         assert got == [[i] for i in ids + ids]
 
     def test_equals_walk_from(self, g):
-        adj = g.adjacency()
+        adj = adjacency(g)
         ids = sorted(r["id"] for r in g.nodes.collect())
         want = [
             walk_from(adj, s, 6, np.random.default_rng(W._walk_seed(3, s, w)))
