@@ -14,10 +14,10 @@ Corpus kinds mirror the paper's three document types: a relational table
 paragraphs/sentences), and structured text (documents = taxonomy concepts,
 with parent edges between metadata nodes, §II-A).
 
-Each corpus is tokenized once into a term table, ``(doc, attr, term)``
-(:func:`term_table`). Everything ``build_graph`` derives from terms comes
-from the two tables: the §II-B ordering (distinct unigrams), the
-document-term edges and the column-term edges.
+Each corpus is tokenized once, on the driver, into a term table
+``(doc, attr, term)`` (:func:`term_table`). Everything ``build_graph``
+derives from terms comes from the two tables: the §II-B ordering (distinct
+unigrams), the document-term edges and the column-term edges.
 
 Term filtering (§II-B): ``build_graph`` creates data nodes from the corpus
 with the smaller number of distinct tokens and keeps, for the other corpus,
@@ -35,7 +35,7 @@ from pyspark.sql import Column, DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import DataType
 
-from .preprocess import TERM_SEP, terms_column
+from .preprocess import TERM_SEP, terms
 
 DATA = "data"
 TUPLE = "tuple"
@@ -133,7 +133,7 @@ class Graph:
         """Compute the graph eagerly and truncate its logical plan.
 
         Graph pipelines (build -> merge -> filter -> expand -> compress)
-        stack unions, UDF explosions and joins; a plain ``cache()`` keeps
+        stack unions, explosions and joins; a plain ``cache()`` keeps
         the full lineage in every downstream logical plan and Catalyst
         analysis time blows up super-linearly (observed: minutes of driver
         CPU hashing plan trees at toy scale). ``localCheckpoint`` executes
@@ -265,9 +265,10 @@ def pandas_frame(spark: SparkSession, pdf: pd.DataFrame, schema: str) -> DataFra
     """``pdf`` as a DataFrame with the DDL ``schema``.
 
     PySpark converts a non-empty pandas frame through Arrow (on in every
-    session of this project) but an empty one through a pickled RDD job,
-    which starts a second Python worker pool (DESIGN.md). An empty frame is
-    therefore built as an empty SQL relation.
+    session of this project) into a local relation, but an empty one
+    through a pickled RDD job, which starts a Python worker pool
+    (DESIGN.md). An empty frame is therefore built as an empty SQL
+    relation.
     """
     if pdf.empty:
         fields = DataType.fromDDL(schema).fields
@@ -280,13 +281,15 @@ def _doc_id(corpus) -> Column:
     return F.concat(F.lit(corpus.name + "::"), F.col(corpus.id_col).cast("string"))
 
 
-def term_table(corpus, *, max_n: int, do_stem: bool) -> DataFrame:
-    """Cached DataFrame(doc, attr, term): the corpus tokenized once (§II).
+_TERM_SCHEMA = "doc string, attr string, term string"
 
-    A table yields one row per term of each cell, with ``attr`` the
-    attribute name, so n-grams never span two attributes; text and
-    structured text yield one row per term of each document, with ``attr``
-    null. Callers unpersist the result.
+
+def _term_rows(corpus, *, max_n: int, do_stem: bool) -> pd.DataFrame:
+    """pandas(doc, attr, term): the corpus tokenized on the driver (§II).
+
+    Spark SQL selects each document's text (a table: each cell, cast to
+    string, with its attribute name); one ``toPandas`` brings it to the
+    driver, where :func:`preprocess.terms` runs per row.
     """
     if corpus.kind == "table":
         cells = F.explode(
@@ -306,20 +309,36 @@ def term_table(corpus, *, max_n: int, do_stem: bool) -> DataFrame:
             F.lit(None).cast("string").alias("attr"),
             F.col(corpus.text_col).alias("text"),
         )
-    return df.select(
-        "doc",
-        "attr",
-        F.explode(terms_column(F.col("text"), max_n=max_n, do_stem=do_stem)).alias("term"),
-    ).cache()
+    pdf = df.toPandas()
+    rows = [
+        (doc, attr, term)
+        for doc, attr, text in zip(pdf["doc"], pdf["attr"], pdf["text"])
+        for term in terms(text or "", max_n=max_n, do_stem=do_stem)
+    ]
+    return pd.DataFrame(rows, columns=["doc", "attr", "term"], dtype=object)
 
 
-def _unigram_count(terms: DataFrame) -> int:
+def term_table(corpus, *, max_n: int, do_stem: bool) -> DataFrame:
+    """DataFrame(doc, attr, term): the corpus tokenized once (§II).
+
+    A table yields one row per term of each cell, with ``attr`` the
+    attribute name, so n-grams never span two attributes; text and
+    structured text yield one row per term of each document, with ``attr``
+    null. The rows are tokenized on the driver and come back as a local
+    relation (:func:`pandas_frame`), so no Python worker runs.
+    """
+    spark = corpus.df.sparkSession
+    return pandas_frame(spark, _term_rows(corpus, max_n=max_n, do_stem=do_stem), _TERM_SCHEMA)
+
+
+def _unigram_count(rows: pd.DataFrame) -> int:
     """Distinct unigrams of a term table — the §II-B ordering criterion.
 
     Tokens never contain ``TERM_SEP``, so the terms without it are exactly
     the n = 1 terms.
     """
-    return terms.where(~F.col("term").contains(TERM_SEP)).select("term").distinct().count()
+    t = rows["term"]
+    return t[~t.str.contains(TERM_SEP, regex=False)].nunique()
 
 
 def column_nodes(spark: SparkSession, corpus: TableCorpus) -> DataFrame:
@@ -327,8 +346,8 @@ def column_nodes(spark: SparkSession, corpus: TableCorpus) -> DataFrame:
     a table corpus, whether or not the attribute has terms (Alg. 1 l. 5-10).
 
     A literal relation evaluated in the JVM. ``createDataFrame(<list>)``
-    would pickle the rows through an RDD job, whose workers form a second
-    Python worker pool next to the one the SQL UDFs use (DESIGN.md).
+    would pickle the rows through an RDD job, whose workers would be the
+    only Python worker pool of the pipeline (DESIGN.md).
     """
     rows = [
         F.struct(
@@ -360,10 +379,10 @@ def build_graph(
     nodes and the other corpus is filtered against them (§II-B). Metadata
     nodes are created for every document of both corpora regardless.
     """
-    tables = [term_table(c, max_n=max_n, do_stem=do_stem) for c in (first, second)]
-    t1, t2 = tables
-    if auto_order and _unigram_count(t2) < _unigram_count(t1):
-        first, second, t1, t2 = second, first, t2, t1
+    r1, r2 = (_term_rows(c, max_n=max_n, do_stem=do_stem) for c in (first, second))
+    if auto_order and _unigram_count(r2) < _unigram_count(r1):
+        first, second, r1, r2 = second, first, r2, r1
+    t1, t2 = (pandas_frame(spark, r, _TERM_SCHEMA) for r in (r1, r2))
     if filter_second:
         # also drops the second corpus's column-term edges of filtered terms
         t2 = t2.join(t1.select("term"), "term", "left_semi")
@@ -429,10 +448,7 @@ def build_graph(
     for p in edge_parts[1:]:
         edges = edges.unionByName(p)
 
-    out = Graph(nodes.distinct(), canonical_edges(edges), first.name).materialize()
-    for t in tables:
-        t.unpersist()
-    return out
+    return Graph(nodes.distinct(), canonical_edges(edges), first.name).materialize()
 
 
 def filter_to_term_corpus(graph: Graph, *, kb: Optional[DataFrame] = None) -> Graph:

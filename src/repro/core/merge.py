@@ -15,8 +15,10 @@ Three merge families:
   cosine over a known-synonym list (the paper's γ = 0.57 recipe on
   Wikipedia2Vec).
 
-A merge is a relabeling of data-node ids followed by edge rewriting; all of
-it is expressed as Spark joins so the oracle can check it.
+A merge is a relabeling of data-node ids followed by edge rewriting; the
+rewrite is expressed as Spark joins so the oracle can check it. The
+relabeling itself (bucket labels, resolved synonym chains) is computed on the
+driver, so no merge runs a Python UDF.
 """
 from __future__ import annotations
 
@@ -28,21 +30,20 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from .graph import DATA, DATA_PREFIX, Graph, canonical_edges
-from .preprocess import is_numeric
+from .graph import DATA, DATA_PREFIX, Graph, canonical_edges, pandas_frame
+from .preprocess import _NUMERIC_RE
 
 
 def numeric_terms(graph: Graph) -> DataFrame:
-    """Data nodes whose term is numeric: DataFrame(id, value: double)."""
+    """Data nodes whose term is numeric: DataFrame(id, value: double).
 
-    @F.udf("boolean")
-    def _is_num(term):
-        return is_numeric(term)
-
+    Numeric means :func:`preprocess.is_numeric`; its pattern is matched by
+    Spark's ``rlike`` (the Java and Python regexes agree on it).
+    """
     return (
         graph.nodes.where(F.col("type") == DATA)
         .select("id", F.expr(f"substring(id, {len(DATA_PREFIX) + 1})").alias("term"))
-        .where(_is_num("term"))
+        .where(F.col("term").rlike(_NUMERIC_RE.pattern))
         .select("id", F.col("term").cast("double").alias("value"))
     )
 
@@ -76,22 +77,20 @@ def merge_numeric_buckets(
     nodes' values. Merging is skipped (graph returned unchanged) when there
     are fewer than two distinct numeric values.
     """
-    nums = numeric_terms(graph).cache()
+    nums = numeric_terms(graph)
     if width is None:
         width = freedman_diaconis_width(nums)
-    if width is None or width <= 0 or nums.count() < 2:
-        nums.unpersist()
+    pdf = nums.toPandas()
+    if width is None or width <= 0 or len(pdf) < 2:
         return graph, 0
-    origin = nums.agg(F.min("value")).first()[0]
-
-    @F.udf("string")
-    def _bucket(v):
-        return DATA_PREFIX + bucket_label(float(v), float(width), float(origin))
-
-    mapping = nums.select(F.col("id").alias("old_id"), _bucket("value").alias("new_id"))
-    out = apply_node_mapping(graph, mapping)
-    nums.unpersist()
-    return out
+    origin = float(pdf["value"].min())
+    mapping = pd.DataFrame({
+        "old_id": pdf["id"],
+        "new_id": [DATA_PREFIX + bucket_label(v, float(width), origin) for v in pdf["value"]],
+    })
+    return apply_node_mapping(
+        graph, pandas_frame(graph.nodes.sparkSession, mapping, "old_id string, new_id string")
+    )
 
 
 def apply_node_mapping(graph: Graph, mapping: DataFrame) -> Tuple[Graph, int]:

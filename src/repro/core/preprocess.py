@@ -5,9 +5,10 @@ builds n-gram *terms* (n = 1..3 by default, chosen by profiling Wikipedia
 titles). A *term* is one-or-more stemmed tokens joined by ``_`` and becomes a
 data node in the graph.
 
-Everything here is pure Python (unit-testable without Spark) plus one Spark
-UDF wrapper at the bottom, which ``graph.term_table`` runs once per corpus.
-No NLTK offline, so the stemmer is a compact suffix-stripping stemmer
+Everything here is pure Python and runs on the driver:
+``graph.term_table`` selects each corpus's text in Spark SQL, collects it
+once and calls :func:`terms` per row, so no Spark Python worker tokenizes
+anything. No NLTK offline, so the stemmer is a compact suffix-stripping stemmer
 covering the inflections our corpora generate (plural/-ing/-ed/-ly/-tion/...);
 it is deterministic and idempotent on its own output for the suffixes it
 strips, which is all graph merging needs.
@@ -16,10 +17,6 @@ from __future__ import annotations
 
 import re
 from typing import Iterable, List
-
-from pyspark.sql import Column
-from pyspark.sql import functions as F
-from pyspark.sql.types import ArrayType, StringType
 
 # A standard English stop-word list (small on purpose: these are the words
 # the paper's examples drop, e.g. "The" in "The Sixth Sense").
@@ -139,14 +136,4 @@ def terms(text: str, *, max_n: int = 3, do_stem: bool = True) -> List[str]:
     for t in ngrams(content_tokens(text, do_stem=do_stem), max_n):
         seen.setdefault(t, None)
     return list(seen)
-
-
-def terms_column(col: Column, *, max_n: int = 3, do_stem: bool = True) -> Column:
-    """Spark column expression: text -> array<string> of distinct terms."""
-
-    @F.udf(returnType=ArrayType(StringType()))
-    def _terms(text):
-        return terms(text or "", max_n=max_n, do_stem=do_stem)
-
-    return _terms(col)
 

@@ -211,6 +211,43 @@ class TestPandasFrame:
         assert [tuple(r) for r in out.collect()] == [("x", "1"), ("y", "2")]
 
 
+class TestTermTableEdgeCases:
+    SCHEMA = "struct<doc:string,attr:string,term:string>"
+
+    def test_empty_corpus(self, spark):
+        empty = pandas_frame(spark, pd.DataFrame(columns=["id", "a", "b"]), "id long, a string, b string")
+        for corpus in (TextCorpus("c", empty, "id", "a"), TableCorpus("c", empty, "id", ["a", "b"])):
+            out = G.term_table(corpus, max_n=2, do_stem=True)
+            assert out.schema.simpleString() == self.SCHEMA
+            assert out.count() == 0
+            assert not _scans_rdd(out)
+
+    def test_null_and_stopword_documents(self, spark):
+        df = spark.createDataFrame(
+            pd.DataFrame({"id": [1, 2, 3], "text": [None, "the and of it", "heat wave"]})
+        )
+        text = TextCorpus("c", df, "id", "text")
+        out = G.term_table(text, max_n=1, do_stem=False)
+        assert out.schema.simpleString() == self.SCHEMA
+        assert sorted(tuple(r) for r in out.collect()) == [("c::3", None, "heat"), ("c::3", None, "wave")]
+        table = TableCorpus(
+            "t", spark.createDataFrame(pd.DataFrame({"tid": [1], "a": ["heat"]})), "tid", ["a"]
+        )
+        for filter_second in (True, False):
+            g = build_graph(spark, table, text, max_n=1, auto_order=False, filter_second=filter_second)
+            ids = {r["id"] for r in g.nodes.collect()}
+            assert {"c::1", "c::2", "c::3"} <= ids
+            linked = {x for r in g.edges.collect() for x in r}
+            assert "c::3" in linked and not linked & {"c::1", "c::2"}
+
+    def test_table_with_null_cell(self, spark):
+        df = spark.createDataFrame(
+            pd.DataFrame({"id": [1, 2], "a": ["heat", None], "b": [None, "wave"]})
+        )
+        out = G.term_table(TableCorpus("t", df, "id", ["a", "b"]), max_n=2, do_stem=False)
+        assert sorted(tuple(r) for r in out.collect()) == [("t::1", "a", "heat"), ("t::2", "b", "wave")]
+
+
 class TestStructuredCorpus:
     @pytest.fixture(scope="class")
     def tax_graph(self, spark):

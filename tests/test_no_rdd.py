@@ -10,6 +10,12 @@ An Arrow UDF loads pandas and pyarrow into every Python worker that runs
 it, about doubling the worker's memory. The pipeline's modules, MSP's
 ``compress`` included, run none; the second guard lists each Arrow UDF name
 they mention.
+
+Any Python UDF, row-at-a-time ``udf`` included, makes Spark start a pool of
+``pyspark.daemon`` workers. The pipeline tokenizes on the driver and
+computes its merge labels there, so the third guard lists every Python UDF
+name (``udf``, ``pandas_udf`` and the Arrow UDF entry points) that the
+pipeline's modules and ``preprocess`` mention.
 """
 import ast
 from pathlib import Path
@@ -21,6 +27,8 @@ _LITERALS = (ast.List, ast.Tuple, ast.ListComp, ast.GeneratorExp)
 
 W_RW_MODULES = ("graph", "merge", "expand", "compress", "walks", "embed", "match", "pipeline")
 _ARROW_UDFS = {"mapInPandas", "mapInArrow", "pandas_udf", "applyInPandas"}
+PIPELINE_MODULES = W_RW_MODULES + ("preprocess",)
+_PYTHON_UDFS = _ARROW_UDFS | {"udf"}
 
 
 def rdd_uses(root: Path) -> List[str]:
@@ -61,18 +69,23 @@ def test_guard_flags_each_form(tmp_path):
     assert rdd_uses(tmp_path) == [f"m.py:{i}" for i in range(1, 6)]
 
 
-def arrow_udf_uses(paths: List[Path]) -> List[str]:
+def name_uses(paths: List[Path], names) -> List[str]:
     """``file:line`` of every attribute, name or import among ``paths``
-    that is one of the Arrow UDF entry points."""
+    that is one of ``names``."""
     found = []
     for path in paths:
         lines = set()
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             name = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node))
-            if name and getattr(node, name) in _ARROW_UDFS:
+            if name and getattr(node, name) in names:
                 lines.add(node.lineno)
         found += [f"{path.name}:{i}" for i in sorted(lines)]
     return found
+
+
+def arrow_udf_uses(paths: List[Path]) -> List[str]:
+    """``file:line`` of every use among ``paths`` of an Arrow UDF entry point."""
+    return name_uses(paths, _ARROW_UDFS)
 
 
 def test_w_rw_modules_run_no_arrow_udf():
@@ -93,3 +106,28 @@ def test_arrow_guard_flags_each_form(tmp_path):
         "ok = spark.createDataFrame(table, 'x int')\n"
     )
     assert arrow_udf_uses([tmp_path / "m.py"]) == [f"m.py:{i}" for i in range(1, 7)]
+
+
+def test_pipeline_modules_run_no_python_udf():
+    paths = [SRC / "core" / f"{m}.py" for m in PIPELINE_MODULES]
+    assert all(p.is_file() for p in paths)
+    assert name_uses(paths, _PYTHON_UDFS) == []
+
+
+def test_python_udf_guard_flags_each_form(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "a = F.udf(f, 'double')\n"
+        "@F.udf('string')\n"
+        "def g(x): return x\n"
+        "from pyspark.sql.functions import udf\n"
+        "b = udf(f)\n"
+        "spark.udf.register('f', f)\n"
+        "c = F.pandas_udf(f, 'double')\n"
+        "d = df.mapInPandas(f, 'x int')\n"
+        "e = df.mapInArrow(f, 'x int')\n"
+        "h = df.groupBy('k').applyInPandas(f, 'x int')\n"
+        "ok = F.col('udf')\n"
+        "ok = my_udf(F.expr('udf'))\n"
+    )
+    flagged = [1, 2, 4, 5, 6, 7, 8, 9, 10]
+    assert name_uses([tmp_path / "m.py"], _PYTHON_UDFS) == [f"m.py:{i}" for i in flagged]
