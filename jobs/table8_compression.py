@@ -57,7 +57,7 @@ def run(spark: SparkSession, *, scale: float = 0.25) -> pd.DataFrame:
             cfg = TDMatchConfig(
                 num_walks=N_WALKS, walk_length=WALK_LEN, vector_size=VEC_SIZE,
                 window=window, k=20, seed=0, expand=expand, compress=compress,
-                collect_sizes=True, bucket_numeric=bucket,
+                bucket_numeric=bucket,
             )
             res = run_tdmatch(
                 spark, qc, tc, config=cfg, kb=kb if expand else None, synonyms=syn

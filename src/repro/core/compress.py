@@ -31,7 +31,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import functions as F
 
-from .graph import DOC_TYPES, METADATA_TYPES, Graph, GraphIndex, pandas_frame
+from .graph import DOC_TYPES, METADATA_TYPES, Graph, GraphIndex
 
 
 def bfs_parents(adj: Dict[str, List[str]], src: str) -> Tuple[Dict[str, int], Dict[str, List[str]]]:
@@ -165,8 +165,7 @@ def msp_compress(
     doc node of corpus 2). With ``ensure_all_metadata`` every doc metadata
     node left unsampled gets one extra pair so it stays connected.
     """
-    spark = graph.nodes.sparkSession
-    nodes = graph.nodes.select("id", "type", "corpus").toPandas()
+    nodes = graph.node_rows
     docs = nodes[nodes["type"].isin(DOC_TYPES)]
     corpora = sorted(docs["corpus"].unique())
     if len(corpora) != 2:
@@ -189,11 +188,7 @@ def msp_compress(
     edges = pd.DataFrame({"src": index.ids[lo], "dst": index.ids[hi]})
     # metadata nodes always survive, even if isolated (matching needs them)
     kept = nodes["type"].isin(METADATA_TYPES) | nodes["id"].isin(index.ids[np.union1d(lo, hi)])
-    return Graph(
-        pandas_frame(spark, nodes[kept].sort_values("id"), "id string, type string, corpus string"),
-        pandas_frame(spark, edges, "src string, dst string"),
-        graph.term_corpus,
-    ).materialize()
+    return graph.with_rows(nodes[kept], edges)
 
 
 def ssum_like_compress(graph: Graph, *, ratio: float, seed: int = 0) -> Graph:
@@ -220,7 +215,7 @@ def ssum_like_compress(graph: Graph, *, ratio: float, seed: int = 0) -> Graph:
         .where(F.col("id") != F.col("new_id"))
         .select(F.col("id").alias("old_id"), "new_id")
     )
-    merged, _ = apply_node_mapping(graph, mapping)
+    merged, _ = apply_node_mapping(graph, mapping.toPandas())
 
     keep = merged.edges.sample(fraction=min(1.0, ratio), seed=seed)
     kept_nodes = (
@@ -229,6 +224,6 @@ def ssum_like_compress(graph: Graph, *, ratio: float, seed: int = 0) -> Graph:
         .union(merged.metadata_nodes().select("id"))
         .distinct()
     )
-    return Graph(
+    return Graph.from_frames(
         merged.nodes.join(kept_nodes, "id", "left_semi"), keep, merged.term_corpus
-    ).materialize()
+    )

@@ -14,12 +14,11 @@ expansion itself (``"added"``, the default used in our pipelines).
 """
 from __future__ import annotations
 
-from typing import Tuple
-
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from .graph import DATA, DATA_PREFIX, Graph, canonical_edges
+from .graph import DATA, DATA_PREFIX, Graph, canonical_rows
 
 
 def expand_graph(
@@ -32,49 +31,37 @@ def expand_graph(
 
     ``kb_edges`` is a DataFrame(subject, object) of related *terms* (already
     pre-processed to match the graph's term space). Connections are fetched
-    for every data node matching either side.
+    for every data node matching either side. The KB is collected once; the
+    rest runs on the graph's driver rows.
     """
     if sink_scope not in ("added", "all", "none"):
         raise ValueError(f"bad sink_scope {sink_scope!r}")
 
     kb = kb_edges.select(
-        F.col("subject").cast("string").alias("subject"),
-        F.col("object").cast("string").alias("object"),
-    ).where(F.col("subject") != F.col("object"))
+        *[F.col(c).cast("string") for c in ("subject", "object")]
+    ).toPandas().dropna()
+    kb = kb[kb["subject"] != kb["object"]]
     # symmetric: a data node matching either endpoint pulls in the relation
-    kb = kb.unionByName(
-        kb.select(F.col("object").alias("subject"), F.col("subject").alias("object"))
-    ).distinct()
+    kb = pd.concat([kb, kb.set_axis(["object", "subject"], axis=1)])
 
-    data_terms = graph.nodes.where(F.col("type") == DATA).select(
-        F.expr(f"substring(id, {len(DATA_PREFIX) + 1})").alias("subject")
+    nodes, edges = graph.node_rows, graph.edge_rows
+    data_terms = nodes.loc[nodes["type"] == DATA, "id"].str[len(DATA_PREFIX) :]
+    fetched = kb[kb["subject"].isin(data_terms)]
+    new_dst = DATA_PREFIX + fetched["object"]
+    edges = canonical_rows(
+        pd.concat([edges["src"], DATA_PREFIX + fetched["subject"]]),
+        pd.concat([edges["dst"], new_dst]),
     )
-    fetched = kb.join(F.broadcast(data_terms), "subject", "left_semi")
-
-    new_edges = fetched.select(
-        F.concat(F.lit(DATA_PREFIX), "subject").alias("src"),
-        F.concat(F.lit(DATA_PREFIX), "object").alias("dst"),
-    )
-    edges = canonical_edges(graph.edges.unionByName(new_edges)).cache()
-
-    new_nodes = (
-        new_edges.select(F.col("dst").alias("id"))
-        .distinct()
-        .join(F.broadcast(graph.nodes.select("id")), "id", "left_anti")
-        .withColumn("type", F.lit(DATA))
-        .withColumn("corpus", F.lit(""))
-        .cache()
-    )
-    nodes = graph.nodes.unionByName(new_nodes)
-    expanded = Graph(nodes, edges, graph.term_corpus)
-
+    new_ids = pd.Series(new_dst.unique(), dtype=object)
+    new_ids = new_ids[~new_ids.isin(nodes["id"])]
+    new_nodes = pd.DataFrame({"id": new_ids, "type": DATA, "corpus": ""})
+    expanded = graph.with_rows(pd.concat([nodes, new_nodes]), edges)
     if sink_scope == "none":
-        out = expanded.materialize()
-    else:
-        sinks = expanded.degrees().where(F.col("degree") <= 1).select("id")
-        if sink_scope == "added":
-            sinks = sinks.join(F.broadcast(new_nodes.select("id")), "id", "left_semi")
-        out = expanded.without_nodes(sinks)
-    edges.unpersist()
-    new_nodes.unpersist()
-    return out
+        return expanded
+
+    # sinks: degree exactly 1 (isolated nodes have no edge to remove)
+    degree = pd.concat([edges["src"], edges["dst"]]).value_counts()
+    sinks = degree.index[(degree <= 1).to_numpy()]
+    if sink_scope == "added":
+        sinks = sinks[sinks.isin(new_ids)]
+    return expanded.induced(~expanded.node_rows["id"].isin(sinks))

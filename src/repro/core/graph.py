@@ -1,6 +1,6 @@
 """Graph creation over heterogeneous corpora (paper §II, Algorithm 1).
 
-The graph is held as two DataFrames:
+The graph is held as two tables of rows:
 
 * ``nodes(id, type, corpus)`` — ``type`` ∈ {``data``, ``tuple``, ``column``,
   ``text``, ``concept``}; ``corpus`` is the corpus name for metadata nodes
@@ -19,6 +19,14 @@ Each corpus is tokenized once, on the driver, into a term table
 derives from terms comes from the two tables: the §II-B ordering (distinct
 unigrams), the document-term edges and the column-term edges.
 
+Corpus-scale work runs in Spark SQL: selecting the documents, the term
+tables and Algorithm 1's build. ``build_graph`` ends with one collect of the
+graph; from there it is graph-scale, and :class:`Graph` keeps the rows on
+the driver as pandas frames. The stages after the build (merging, the
+late §II-B filter, expansion, MSP) rewrite those rows without a Spark job,
+and ``Graph.nodes`` / ``Graph.edges`` give them to Spark consumers as
+Arrow local relations.
+
 Term filtering (§II-B): ``build_graph`` creates data nodes from the corpus
 with the smaller number of distinct tokens and keeps, for the other corpus,
 only terms already in the graph. Callers pass corpora in any order;
@@ -27,6 +35,7 @@ only terms already in the graph. Callers pass corpora in any order;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -117,38 +126,63 @@ class StructuredTextCorpus:
 Corpus = object  # union of the three dataclasses above
 
 
-@dataclass
+NODE_SCHEMA = "id string, type string, corpus string"
+EDGE_SCHEMA = "src string, dst string"
+
+
+@dataclass(eq=False)
 class Graph:
-    """Undirected graph as (nodes, edges) DataFrames; see module docstring.
+    """Undirected graph held on the driver; see module docstring.
+
+    ``node_rows(id, type, corpus)`` and ``edge_rows(src, dst)`` are pandas
+    frames. The graph-scale stages (merge, filter, expand, MSP) rewrite them
+    with pandas and NumPy and run no Spark job. ``nodes`` / ``edges`` are the
+    same rows as DataFrames, Arrow local relations built on first use
+    (:func:`pandas_frame`), for consumers that join them in Spark.
 
     ``term_corpus`` records which corpus defined the term space (§II-B) when
     the graph came out of :func:`build_graph`.
     """
 
-    nodes: DataFrame
-    edges: DataFrame
+    spark: SparkSession
+    node_rows: pd.DataFrame
+    edge_rows: pd.DataFrame
     term_corpus: Optional[str] = None
 
-    def materialize(self) -> "Graph":
-        """Compute the graph eagerly and truncate its logical plan.
+    @classmethod
+    def from_frames(
+        cls, nodes: DataFrame, edges: DataFrame, term_corpus: Optional[str] = None
+    ) -> "Graph":
+        """The graph of the rows of ``nodes`` and ``edges``, brought to the
+        driver in one action (a collect of their union)."""
+        both = nodes.select(F.lit(True).alias("node"), "id", "type", "corpus").union(
+            edges.select(F.lit(False), "src", "dst", F.lit(None).cast("string"))
+        )
+        pdf = both.toPandas()
+        is_node = pdf.pop("node").astype(bool).to_numpy()
+        node_rows = pdf[is_node].reset_index(drop=True)
+        edge_rows = pdf[~is_node].drop(columns="corpus").set_axis(["src", "dst"], axis=1)
+        return cls(nodes.sparkSession, node_rows, edge_rows.reset_index(drop=True), term_corpus)
 
-        Graph pipelines (build -> merge -> filter -> expand -> compress)
-        stack unions, explosions and joins; a plain ``cache()`` keeps
-        the full lineage in every downstream logical plan and Catalyst
-        analysis time blows up super-linearly (observed: minutes of driver
-        CPU hashing plan trees at toy scale). ``localCheckpoint`` executes
-        the stage once and replaces the plan with a scan of the stored
-        blocks — the standard idiom for iterative graph dataflows on Spark.
-        """
-        self.nodes = self.nodes.localCheckpoint(eager=True)
-        self.edges = self.edges.localCheckpoint(eager=True)
-        return self
+    def with_rows(self, nodes: pd.DataFrame, edges: pd.DataFrame) -> "Graph":
+        """A graph over new driver rows, in the same session and term space."""
+        return Graph(
+            self.spark, nodes.reset_index(drop=True), edges.reset_index(drop=True), self.term_corpus
+        )
+
+    @cached_property
+    def nodes(self) -> DataFrame:
+        return pandas_frame(self.spark, self.node_rows, NODE_SCHEMA)
+
+    @cached_property
+    def edges(self) -> DataFrame:
+        return pandas_frame(self.spark, self.edge_rows, EDGE_SCHEMA)
 
     def num_nodes(self) -> int:
-        return self.nodes.count()
+        return len(self.node_rows)
 
     def num_edges(self) -> int:
-        return self.edges.count()
+        return len(self.edge_rows)
 
     def metadata_nodes(self, corpus: Optional[str] = None) -> DataFrame:
         out = self.nodes.where(F.col("type").isin(list(METADATA_TYPES)))
@@ -164,7 +198,7 @@ class Graph:
         return out
 
     def symmetric_edges(self) -> DataFrame:
-        """Both directions of every undirected edge (for the index/joins)."""
+        """Both directions of every undirected edge."""
         rev = self.edges.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
         return self.edges.unionByName(rev)
 
@@ -177,40 +211,29 @@ class Graph:
         )
 
     def index(self) -> "GraphIndex":
-        """The graph as a :class:`GraphIndex`, from one collect of every
-        node with its sorted neighbour set (isolated nodes included)."""
-        lonely = self.nodes.select("id", F.lit(None).cast("string").alias("dst"))
-        pdf = (
-            self.symmetric_edges()
-            .select(F.col("src").alias("id"), "dst")
-            .unionByName(lonely)
-            .groupBy("id")
-            .agg(F.sort_array(F.collect_set("dst")).alias("nbrs"))
-            .toPandas()
-        )
-        return GraphIndex.from_neighbours(pdf["id"], pdf["nbrs"])
+        """The graph as a :class:`GraphIndex` (isolated nodes included)."""
+        e = self.edge_rows
+        return GraphIndex.from_edges(self.node_rows["id"], e["src"], e["dst"])
 
     def subgraph(self, keep_nodes: DataFrame) -> "Graph":
-        """Materialized induced subgraph on the nodes whose ids are in
-        ``keep_nodes`` (a DataFrame with column ``id``, duplicates allowed)."""
-        keep = F.broadcast(keep_nodes.select("id"))
-        return self._induced(self.nodes.join(keep, "id", "left_semi"))
+        """Induced subgraph on the nodes whose ids are in ``keep_nodes`` (a
+        DataFrame with column ``id``, duplicates allowed)."""
+        return self.induced(self.node_rows["id"].isin(_ids(keep_nodes)))
 
     def without_nodes(self, drop_nodes: DataFrame) -> "Graph":
-        """Materialized induced subgraph on the nodes not in ``drop_nodes``."""
-        drop = F.broadcast(drop_nodes.select("id"))
-        return self._induced(self.nodes.join(drop, "id", "left_anti"))
+        """Induced subgraph on the nodes not in ``drop_nodes``."""
+        return self.induced(~self.node_rows["id"].isin(_ids(drop_nodes)))
 
-    def _induced(self, nodes: DataFrame) -> "Graph":
-        """Nodes first: checkpoint the kept nodes once, then keep the edges
-        with both ends among them. Node ids are unique, so the semi/anti
-        joins need no ``distinct`` and the keep set is computed once."""
-        nodes = nodes.localCheckpoint(eager=True)
-        ids = F.broadcast(nodes.select("id"))
-        edges = self.edges.join(ids.withColumnRenamed("id", "src"), "src", "left_semi").join(
-            ids.withColumnRenamed("id", "dst"), "dst", "left_semi"
-        )
-        return Graph(nodes, edges.localCheckpoint(eager=True), self.term_corpus)
+    def induced(self, keep: pd.Series) -> "Graph":
+        """Induced subgraph on the nodes where the boolean mask ``keep``
+        (aligned with ``node_rows``) holds: the edges with both ends kept."""
+        nodes = self.node_rows[keep.to_numpy()]
+        e = self.edge_rows
+        return self.with_rows(nodes, e[e["src"].isin(nodes["id"]) & e["dst"].isin(nodes["id"])])
+
+
+def _ids(df: DataFrame) -> pd.Series:
+    return df.select("id").toPandas()["id"]
 
 
 @dataclass(frozen=True)
@@ -227,6 +250,23 @@ class GraphIndex:
     targets: np.ndarray  # int32
 
     @classmethod
+    def from_edges(cls, ids: Sequence[str], src: Sequence[str], dst: Sequence[str]) -> "GraphIndex":
+        """Index of the nodes ``ids`` (distinct, any order) and the undirected
+        edges ``src[k]``–``dst[k]`` (any order; each end an id in ``ids``;
+        an edge given twice, or in both directions, counts once)."""
+        ids = np.sort(np.asarray(ids, dtype=object))
+        ends = [_positions(ids, e) for e in (src, dst)]
+        row, col = np.concatenate(ends), np.concatenate(ends[::-1])
+        order = np.lexsort((col, row))
+        row, col = row[order], col[order]
+        first = np.ones(len(row), dtype=bool)
+        first[1:] = (row[1:] != row[:-1]) | (col[1:] != col[:-1])
+        row, col = row[first], col[first]
+        offsets = np.zeros(len(ids) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row, minlength=len(ids)), out=offsets[1:])
+        return cls(ids, offsets, col.astype(np.int32))
+
+    @classmethod
     def from_neighbours(cls, ids: Sequence[str], nbrs: Sequence[Sequence[str]]) -> "GraphIndex":
         """Index of the nodes ``ids`` (distinct, any order), ``nbrs[j]``
         being the neighbour ids of ``ids[j]``, each one an id in ``ids``."""
@@ -238,9 +278,7 @@ class GraphIndex:
         np.cumsum(sizes, out=offsets[1:])
         ids = ids[order]
         flat = np.concatenate(lists) if lists else np.zeros(0, dtype=object)
-        targets = np.searchsorted(ids, flat).astype(np.int32)
-        if len(flat) and not (ids[np.minimum(targets, len(ids) - 1)] == flat).all():
-            raise ValueError("a neighbour is not among the node ids")
+        targets = _positions(ids, flat).astype(np.int32)
         # sort each row: ascending integers are ascending ids
         row = np.repeat(np.arange(len(ids)), sizes)
         targets = targets[np.lexsort((targets, row))]
@@ -248,6 +286,24 @@ class GraphIndex:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
+
+
+def _positions(ids: np.ndarray, names: Sequence[str]) -> np.ndarray:
+    """Position of each of ``names`` in the sorted ``ids``; raises if one
+    is not among them."""
+    names = np.asarray(names, dtype=object)
+    pos = np.searchsorted(ids, names)
+    if len(names) and not (len(ids) and (ids[np.minimum(pos, len(ids) - 1)] == names).all()):
+        raise ValueError("an edge end or neighbour is not among the node ids")
+    return pos
+
+
+def canonical_rows(src: Sequence[str], dst: Sequence[str]) -> pd.DataFrame:
+    """pandas(src, dst): :func:`canonical_edges` of driver edge ends."""
+    src, dst = np.asarray(src, dtype=object), np.asarray(dst, dtype=object)
+    lower = src < dst
+    edges = pd.DataFrame({"src": np.where(lower, src, dst), "dst": np.where(lower, dst, src)})
+    return edges[edges["src"] != edges["dst"]].drop_duplicates(ignore_index=True)
 
 
 def canonical_edges(df: DataFrame) -> DataFrame:
@@ -448,7 +504,7 @@ def build_graph(
     for p in edge_parts[1:]:
         edges = edges.unionByName(p)
 
-    return Graph(nodes.distinct(), canonical_edges(edges), first.name).materialize()
+    return Graph.from_frames(nodes.distinct(), canonical_edges(edges), first.name)
 
 
 def filter_to_term_corpus(graph: Graph, *, kb: Optional[DataFrame] = None) -> Graph:
@@ -466,20 +522,16 @@ def filter_to_term_corpus(graph: Graph, *, kb: Optional[DataFrame] = None) -> Gr
     """
     if graph.term_corpus is None:
         raise ValueError("graph has no recorded term corpus")
-    sym = graph.symmetric_edges()
-    first_meta = graph.metadata_nodes(graph.term_corpus).select(F.col("id").alias("src"))
-    keep = sym.join(F.broadcast(first_meta), "src", "left_semi").select(F.col("dst").alias("id"))
+    nodes, edges = graph.node_rows, graph.edge_rows
+    meta = nodes["type"].isin(METADATA_TYPES)
+    first_meta = nodes.loc[meta & (nodes["corpus"] == graph.term_corpus), "id"]
+    src, dst = edges["src"], edges["dst"]
+    keep = pd.concat([dst[src.isin(first_meta)], src[dst.isin(first_meta)]])
     if kb is not None:
-        kept_terms = keep.where(F.col("id").startswith(DATA_PREFIX)).select(
-            F.expr(f"substring(id, {len(DATA_PREFIX) + 1})").alias("object")
-        )
-        kbe = kb.select("subject", "object")
-        kbe = kbe.unionByName(
-            kbe.select(F.col("object").alias("subject"), F.col("subject").alias("object"))
-        )
-        bridged = kbe.join(F.broadcast(kept_terms), "object", "left_semi").select(
-            F.concat(F.lit(DATA_PREFIX), "subject").alias("id")
-        )
-        keep = keep.unionByName(bridged)
-    # every metadata node stays; repeated ids are harmless to the semi join
-    return graph.subgraph(keep.unionByName(graph.metadata_nodes().select("id")))
+        kept_terms = keep[keep.str.startswith(DATA_PREFIX)].str[len(DATA_PREFIX) :]
+        kbe = kb.select(*[F.col(c).cast("string") for c in ("subject", "object")]).toPandas()
+        subject, obj = kbe["subject"], kbe["object"]
+        bridged = pd.concat([subject[obj.isin(kept_terms)], obj[subject.isin(kept_terms)]])
+        keep = pd.concat([keep, DATA_PREFIX + bridged.dropna()])
+    # every metadata node stays
+    return graph.induced(meta | nodes["id"].isin(keep))

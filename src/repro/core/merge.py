@@ -15,10 +15,10 @@ Three merge families:
   cosine over a known-synonym list (the paper's γ = 0.57 recipe on
   Wikipedia2Vec).
 
-A merge is a relabeling of data-node ids followed by edge rewriting; the
-rewrite is expressed as Spark joins so the oracle can check it. The
-relabeling itself (bucket labels, resolved synonym chains) is computed on the
-driver, so no merge runs a Python UDF.
+A merge is a relabeling of data-node ids followed by edge rewriting. Both
+run on the graph's driver rows with pandas (left joins on the mapping), so
+no merge runs a Spark job beyond collecting its dictionary; the DuckDB
+oracle checks the rewrite against the same joins in SQL.
 """
 from __future__ import annotations
 
@@ -30,30 +30,78 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from .graph import DATA, DATA_PREFIX, Graph, canonical_edges, pandas_frame
-from .preprocess import _NUMERIC_RE
+from .graph import DATA, DATA_PREFIX, Graph, canonical_rows
+from .preprocess import is_numeric
 
 
-def numeric_terms(graph: Graph) -> DataFrame:
-    """Data nodes whose term is numeric: DataFrame(id, value: double).
+def numeric_terms(graph: Graph) -> pd.DataFrame:
+    """Data nodes whose term is numeric (:func:`preprocess.is_numeric`):
+    pandas(id, value: float)."""
+    nodes = graph.node_rows
+    ids = nodes.loc[nodes["type"] == DATA, "id"]
+    terms = ids.str[len(DATA_PREFIX) :]
+    numeric = terms.map(is_numeric).astype(bool)
+    return pd.DataFrame(
+        {"id": ids[numeric], "value": terms[numeric].astype(float)}
+    ).reset_index(drop=True)
 
-    Numeric means :func:`preprocess.is_numeric`; its pattern is matched by
-    Spark's ``rlike`` (the Java and Python regexes agree on it).
+
+# the relative error of the Freedman–Diaconis quartiles, as the width was
+# first computed with Spark's approxQuantile; the same width keeps the
+# same buckets
+_FD_RELATIVE_ERROR = 0.001
+
+
+def approx_quantile(values: np.ndarray, q: float, relative_error: float) -> float:
+    """Spark's ``approxQuantile(col, [q], relative_error)`` of fewer than
+    50,000 values in one partition, computed on the driver
+    (``relative_error < q < 1 - relative_error``).
+
+    Spark inserts the sorted values into a Greenwald–Khanna summary
+    (``QuantileSummaries``): the ``i``-th value gets ``g = 1`` and
+    ``delta = floor(2·eps·i)`` (0 for the first and the last). One
+    compression pass from the top merges a value into the sample above it
+    while ``1 + g + delta`` of that sample stays below ``2·eps·n``. The
+    answer is the first sample whose rank range covers ``ceil(q·n)``
+    within half the largest ``g + delta``. Below ``1 / (2·eps)`` values
+    nothing merges and every ``delta`` is 0, so the answer is the
+    ``ceil(q·n)``-th smallest value; above, it can be a neighbour of it.
     """
-    return (
-        graph.nodes.where(F.col("type") == DATA)
-        .select("id", F.expr(f"substring(id, {len(DATA_PREFIX) + 1})").alias("term"))
-        .where(F.col("term").rlike(_NUMERIC_RE.pattern))
-        .select("id", F.col("term").cast("double").alias("value"))
-    )
+    v = np.sort(np.asarray(values, dtype=float))
+    n = len(v)
+    delta = np.floor(2 * relative_error * np.arange(1, n + 1)).astype(np.int64)
+    delta[[0, -1]] = 0
+    threshold = 2 * relative_error * n
+    head = [v[-1], 1, int(delta[-1])]  # value, g, delta
+    samples = []
+    for i in range(n - 2, 0, -1):
+        if 1 + head[1] + head[2] < threshold:
+            head[1] += 1
+        else:
+            samples.append(head)
+            head = [v[i], 1, int(delta[i])]
+    samples.append(head)
+    if n > 1:
+        samples.append([v[0], 1, 0])
+    samples.reverse()
+    target = max(g + d for _, g, d in samples) // 2
+    rank = math.ceil(q * n)
+    min_rank = 0
+    for value, g, d in samples[:-1]:
+        min_rank += g
+        if min_rank + d - target <= rank <= min_rank + target:
+            return float(value)
+    return float(samples[-1][0])
 
 
-def freedman_diaconis_width(values: DataFrame, col: str = "value") -> Optional[float]:
-    """FD bin width 2·IQR/n^(1/3) via approxQuantile; None if degenerate."""
-    n = values.count()
+def freedman_diaconis_width(values) -> Optional[float]:
+    """FD bin width 2·IQR/n^(1/3) of a sequence of floats, with the
+    quartiles Spark's ``approxQuantile(…, 0.001)`` gives (see
+    :func:`approx_quantile`); None if degenerate."""
+    n = len(values)
     if n < 2:
         return None
-    q1, q3 = values.approxQuantile(col, [0.25, 0.75], 0.001)
+    q1, q3 = (approx_quantile(values, q, _FD_RELATIVE_ERROR) for q in (0.25, 0.75))
     iqr = q3 - q1
     if iqr <= 0:
         return None
@@ -79,47 +127,36 @@ def merge_numeric_buckets(
     """
     nums = numeric_terms(graph)
     if width is None:
-        width = freedman_diaconis_width(nums)
-    pdf = nums.toPandas()
-    if width is None or width <= 0 or len(pdf) < 2:
+        width = freedman_diaconis_width(nums["value"].to_numpy())
+    if width is None or width <= 0 or len(nums) < 2:
         return graph, 0
-    origin = float(pdf["value"].min())
+    origin = float(nums["value"].min())
     mapping = pd.DataFrame({
-        "old_id": pdf["id"],
-        "new_id": [DATA_PREFIX + bucket_label(v, float(width), origin) for v in pdf["value"]],
+        "old_id": nums["id"],
+        "new_id": [DATA_PREFIX + bucket_label(v, float(width), origin) for v in nums["value"]],
     })
-    return apply_node_mapping(
-        graph, pandas_frame(graph.nodes.sparkSession, mapping, "old_id string, new_id string")
-    )
+    return apply_node_mapping(graph, mapping)
 
 
-def apply_node_mapping(graph: Graph, mapping: DataFrame) -> Tuple[Graph, int]:
-    """Rewrite the graph under an (old_id -> new_id) data-node mapping.
+def apply_node_mapping(graph: Graph, mapping: pd.DataFrame) -> Tuple[Graph, int]:
+    """Rewrite the graph under a pandas(old_id, new_id) node mapping.
 
-    Ids not in the mapping are untouched. Merged nodes inherit type ``data``.
-    Returns (new graph, #nodes removed). Self-loops and duplicate edges
-    produced by the merge are dropped by canonicalization.
+    Ids not in the mapping are untouched; a merged node keeps the type and
+    corpus of one of the nodes merged into it. Returns (new graph, #nodes
+    removed). Self-loops and duplicate edges produced by the merge are
+    dropped by canonicalization.
     """
-    mapping = mapping.where(F.col("old_id") != F.col("new_id")).cache()
-    n_before = graph.num_nodes()
+    mapping = mapping[mapping["old_id"] != mapping["new_id"]]
 
-    def _rewrite(df: DataFrame, col: str) -> DataFrame:
-        return (
-            df.join(F.broadcast(mapping.withColumnRenamed("old_id", col)), col, "left")
-            .withColumn(col, F.coalesce("new_id", F.col(col)))
-            .drop("new_id")
-        )
+    def _rewrite(df: pd.DataFrame, col: str) -> pd.DataFrame:
+        out = df.merge(mapping.rename(columns={"old_id": col}), on=col, how="left")
+        out[col] = out["new_id"].where(out["new_id"].notna(), out[col])
+        return out.drop(columns="new_id")
 
-    edges = canonical_edges(_rewrite(_rewrite(graph.edges, "src"), "dst"))
-    nodes = (
-        _rewrite(graph.nodes.withColumnRenamed("id", "src"), "src")
-        .select(F.col("src").alias("id"), "type", "corpus")
-        .groupBy("id")
-        .agg(F.first("type").alias("type"), F.first("corpus").alias("corpus"))
-    )
-    out = Graph(nodes, edges, graph.term_corpus).materialize()
-    mapping.unpersist()
-    return out, n_before - out.num_nodes()
+    edges = _rewrite(_rewrite(graph.edge_rows, "src"), "dst")
+    nodes = _rewrite(graph.node_rows, "id").drop_duplicates("id")
+    out = graph.with_rows(nodes, canonical_rows(edges["src"], edges["dst"]))
+    return out, graph.num_nodes() - out.num_nodes()
 
 
 def merge_synonyms(graph: Graph, synonyms: DataFrame) -> Tuple[Graph, int]:
@@ -144,11 +181,8 @@ def merge_synonyms(graph: Graph, synonyms: DataFrame) -> Tuple[Graph, int]:
     ]
     if not rows:
         return graph, 0
-    spark = graph.nodes.sparkSession
-    mapping = spark.createDataFrame(
-        pd.DataFrame(rows, columns=["old_id", "new_id"])
-    ).join(F.broadcast(graph.nodes.select(F.col("id").alias("old_id"))), "old_id", "left_semi")
-    return apply_node_mapping(graph, mapping)
+    mapping = pd.DataFrame(rows, columns=["old_id", "new_id"])
+    return apply_node_mapping(graph, mapping[mapping["old_id"].isin(graph.node_rows["id"])])
 
 
 def calibrate_gamma(embeddings: pd.DataFrame, synonym_pairs: pd.DataFrame) -> float:

@@ -50,14 +50,14 @@ class TDMatchConfig:
     bucket_width: Optional[float] = None
     k: int = 20
     seed: int = 0
-    # graph-size accounting costs extra Spark actions; Table VIII turns it on
-    collect_sizes: bool = False
 
 
 @dataclass
 class TDMatchResult:
     matches: DataFrame  # (query, target, score, rank) with raw doc ids
-    graph_sizes: Dict[str, Tuple[int, int]]  # stage -> (#nodes, #edges)
+    # stage -> (#nodes, #edges): "original", plus "expanded" and
+    # "compressed" when those stages run
+    graph_sizes: Dict[str, Tuple[int, int]]
     embeddings: DataFrame  # (node, vector) for every graph node
     graph: Graph
 
@@ -90,9 +90,9 @@ def run_tdmatch(
     # filter must see the merged node, not the raw token stream. With a KB
     # present, filtering also keeps second-corpus terms the KB can bridge
     # (see filter_to_term_corpus).
-    # Every stage function returns a materialized (localCheckpoint'ed)
-    # graph, so plans stay flat and stage blocks are freed by the cleaner
-    # once the next stage drops its reference.
+    # build_graph collects the graph to the driver once; the stages after it
+    # rewrite those rows with no Spark job, and a stage's input is dropped
+    # as soon as it returns.
     graph = build_graph(
         spark,
         query_corpus,
@@ -108,15 +108,13 @@ def run_tdmatch(
         graph = merge_numeric_buckets(graph, width=cfg.bucket_width)[0]
     if cfg.filter_second:
         graph = filter_to_term_corpus(graph, kb=kb if cfg.expand else None)
-    if cfg.collect_sizes:
-        sizes["original"] = (graph.num_nodes(), graph.num_edges())
+    sizes["original"] = (graph.num_nodes(), graph.num_edges())
 
     if cfg.expand:
         if kb is None:
             raise ValueError("expand=True requires a KB edge DataFrame")
         graph = expand_graph(graph, kb, sink_scope=cfg.sink_scope)
-        if cfg.collect_sizes:
-            sizes["expanded"] = (graph.num_nodes(), graph.num_edges())
+        sizes["expanded"] = (graph.num_nodes(), graph.num_edges())
 
     if cfg.compress is not None:
         kind, ratio = cfg.compress
@@ -126,8 +124,7 @@ def run_tdmatch(
             graph = ssum_like_compress(graph, ratio=ratio, seed=cfg.seed)
         else:
             raise ValueError(f"unknown compression {kind!r}")
-        if cfg.collect_sizes:
-            sizes["compressed"] = (graph.num_nodes(), graph.num_edges())
+        sizes["compressed"] = (graph.num_nodes(), graph.num_edges())
 
     walks = generate_walks(
         graph, num_walks=cfg.num_walks, walk_length=cfg.walk_length, seed=cfg.seed

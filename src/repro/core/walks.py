@@ -192,4 +192,4 @@ def generate_walks(
         steps = walks[np.arange(walks.shape[1]) < lengths[:, None]]
         chunks.append(pa.ListArray.from_arrays(pa.array(offsets), ids.take(pa.array(steps))))
     table = pa.table({"walk": pa.chunked_array(chunks, type=pa.list_(pa.string()))})
-    return graph.nodes.sparkSession.createDataFrame(table, "walk array<string>").coalesce(1)
+    return graph.spark.createDataFrame(table, "walk array<string>").coalesce(1)

@@ -135,7 +135,7 @@ class TestMsp:
 
         def compressed(order):
             out = msp_compress(
-                Graph(g.nodes.orderBy(order), g.edges, g.term_corpus), beta=0.2, seed=0
+                Graph.from_frames(g.nodes.orderBy(order), g.edges, g.term_corpus), beta=0.2, seed=0
             )
             return (
                 {tuple(r) for r in out.nodes.collect()},
@@ -153,9 +153,9 @@ class TestMsp:
             )
 
         g = small_graph
-        ref = compressed(Graph(g.nodes.coalesce(1), g.edges.coalesce(1), g.term_corpus))
+        ref = compressed(Graph.from_frames(g.nodes.coalesce(1), g.edges.coalesce(1), g.term_corpus))
         assert ref[1]
-        assert compressed(Graph(g.nodes.repartition(7), g.edges.repartition(5), g.term_corpus)) == ref
+        assert compressed(Graph.from_frames(g.nodes.repartition(7), g.edges.repartition(5), g.term_corpus)) == ref
         key = "spark.sql.shuffle.partitions"
         before = spark.conf.get(key)
         try:
@@ -238,7 +238,7 @@ class TestSsum:
         edges = pd.DataFrame(
             [(n, "d::x") for n in x] + [(n, "d::y") for n in y], columns=["src", "dst"]
         )
-        g = Graph(spark.createDataFrame(nodes), spark.createDataFrame(edges), "s")
+        g = Graph.from_frames(spark.createDataFrame(nodes), spark.createDataFrame(edges), "s")
         cg = ssum_like_compress(g, ratio=1.0, seed=0)
         data = {r["id"] for r in cg.nodes.where(F.col("type") == "data").collect()}
         assert data == ({"d::x"} if merged else {"d::x", "d::y"})

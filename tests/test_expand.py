@@ -1,7 +1,6 @@
 """Tests for graph expansion (Algorithm 2) and sink removal."""
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.expand import expand_graph
 from repro.core.graph import (
@@ -152,22 +151,57 @@ def test_filter_and_expand_independent_of_shuffle_partitions(spark):
 
 
 class TestJoinPlans:
-    def test_graph_stages_broadcast_their_small_side(self, spark, g, monkeypatch):
-        # merge's left joins inflate the size estimates every later
-        # checkpoint keeps, which rules out size-based broadcasts as surely
-        # as conftest's threshold of -1: each join must carry its own hint
-        plans = []
-        frame = type(g.nodes)  # the session's DataFrame class
-        checkpoint = frame.localCheckpoint
+    def test_graph_stages_run_no_spark_job(self, spark):
+        """After build_graph's collect, the graph-scale stages run on the
+        driver rows: no Spark job, but one to collect the stage's synonym
+        dictionary or KB."""
+        from repro.core.compress import msp_compress
+        from repro.core.merge import merge_numeric_buckets
 
-        def spy(df, *args, **kwargs):
-            plans.append(df._jdf.queryExecution().executedPlan().toString())
-            return checkpoint(df, *args, **kwargs)
-
-        monkeypatch.setattr(frame, "localCheckpoint", spy)
-        syn = spark.createDataFrame(pd.DataFrame({"variant": ["film"], "canonical": ["movie"]}))
+        t = spark.createDataFrame(
+            pd.DataFrame({"tid": [1, 2], "a": ["tarantino drama 1994", "shyamalan thriller 1999"]})
+        )
+        s = spark.createDataFrame(
+            pd.DataFrame(
+                {"sid": [1, 2], "text": ["tarantino comedy film 1994", "shyamalan thriller film 2001"]}
+            )
+        )
+        g = build_graph(
+            spark, TableCorpus("t", t, "tid", ["a"]), TextCorpus("s", s, "sid", "text"),
+            max_n=1, auto_order=False, filter_second=False,
+        )
+        syn = spark.createDataFrame(pd.DataFrame({"variant": ["film"], "canonical": ["thriller"]}))
         kb = _kb(spark, [("tarantino", "comedy"), ("shyamalan", "vaswani"), ("drama", "style")])
-        merged = merge_synonyms(g, syn)[0]
-        expand_graph(filter_to_term_corpus(merged, kb=kb), kb)
-        assert sum("BroadcastHashJoin" in p for p in plans) >= 5
-        assert not [p for p in plans if "SortMergeJoin" in p]
+        sc = spark.sparkContext
+        jobs = {}
+
+        def run(name, stage, *args, **kwargs):
+            group = f"test_graph_stages_run_no_spark_job.{name}"
+            sc.setJobGroup(group, name)
+            try:
+                out = stage(*args, **kwargs)
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+            sc._jsc.sc().listenerBus().waitUntilEmpty()
+            jobs[name] = len(sc.statusTracker().getJobIdsForGroup(group))
+            return out
+
+        g, removed = run("merge.synonyms", merge_synonyms, g, syn)
+        assert removed == 1
+        g, removed = run("merge.buckets", merge_numeric_buckets, g)
+        assert removed > 0
+        g = run("filter", filter_to_term_corpus, g, kb=kb)
+        for scope in ("none", "all", "added"):
+            out = run(f"expand.{scope}", expand_graph, g, kb, sink_scope=scope)
+        out = run("msp", msp_compress, out, beta=0.5)
+        run("index", out.index)
+        assert jobs == {
+            "merge.synonyms": 1,
+            "merge.buckets": 0,
+            "filter": 1,
+            "expand.none": 1,
+            "expand.all": 1,
+            "expand.added": 1,
+            "msp": 0,
+            "index": 0,
+        }

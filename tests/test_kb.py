@@ -69,7 +69,7 @@ class TestPrepareSynonyms:
             pd.DataFrame({"id": ids, "type": ["data", "data", "tuple"], "corpus": ["", "", "t"]})
         )
         edges = spark.createDataFrame(pd.DataFrame({"src": ids[:2], "dst": ids[2:] * 2}))
-        _, removed = merge_synonyms(Graph(nodes, edges), syn)
+        _, removed = merge_synonyms(Graph.from_frames(nodes, edges), syn)
         assert removed == 0
 
     def test_empty_frame(self, spark):

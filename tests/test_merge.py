@@ -7,6 +7,7 @@ from pyspark.sql import functions as F
 from repro.core.graph import TableCorpus, TextCorpus, build_graph, data_node_id
 from repro.core.merge import (
     apply_node_mapping,
+    approx_quantile,
     bucket_label,
     calibrate_gamma,
     freedman_diaconis_width,
@@ -43,28 +44,40 @@ def num_graph(spark):
 
 class TestNumericTerms:
     def test_detects_numbers(self, num_graph):
-        vals = {r["value"] for r in numeric_terms(num_graph).collect()}
+        vals = set(numeric_terms(num_graph)["value"])
         assert 10.0 in vals and 100.0 in vals
 
     def test_ignores_words(self, num_graph):
-        ids = {r["id"] for r in numeric_terms(num_graph).collect()}
+        ids = set(numeric_terms(num_graph)["id"])
         assert data_node_id("row1") not in ids
 
 
 class TestFreedmanDiaconis:
-    def test_known_width(self, spark):
-        vals = spark.createDataFrame(pd.DataFrame({"value": list(range(1, 101))}))
-        w = freedman_diaconis_width(vals)
+    def test_known_width(self):
+        w = freedman_diaconis_width(np.arange(1.0, 101.0))
         # IQR = 50 (approx), n=100 -> 2*50/100^(1/3) ~ 21.5
         assert 15 < w < 25
 
-    def test_degenerate_none(self, spark):
-        vals = spark.createDataFrame(pd.DataFrame({"value": [5.0] * 10}))
-        assert freedman_diaconis_width(vals) is None
+    def test_degenerate_none(self):
+        assert freedman_diaconis_width(np.full(10, 5.0)) is None
 
-    def test_single_value_none(self, spark):
-        vals = spark.createDataFrame(pd.DataFrame({"value": [1.0]}))
-        assert freedman_diaconis_width(vals) is None
+    def test_single_value_none(self):
+        assert freedman_diaconis_width(np.array([1.0])) is None
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 278, 1000])
+@pytest.mark.parametrize("repeats", [False, True])
+def test_width_equals_spark_approx_quantile(spark, n, repeats):
+    """The driver quartiles are Spark's approxQuantile(…, 0.001) over one
+    partition, also where they are not the exact ones (n = 1000)."""
+    rng = np.random.default_rng(n)
+    values = rng.integers(0, max(2, n // 3), n) if repeats else rng.permutation(n)
+    values = values.astype(float)
+    df = spark.createDataFrame(pd.DataFrame({"value": values})).coalesce(1)
+    q1, q3 = df.approxQuantile("value", [0.25, 0.75], 0.001)
+    assert [approx_quantile(values, q, 0.001) for q in (0.25, 0.75)] == [q1, q3]
+    want = 2.0 * (q3 - q1) / n ** (1.0 / 3.0) if q3 > q1 else None
+    assert freedman_diaconis_width(values) == want
 
 
 class TestBucketLabel:
@@ -108,8 +121,8 @@ class TestMergeNumeric:
 
 class TestApplyMapping:
     def test_rename_keeps_count(self, spark, num_graph):
-        mapping = spark.createDataFrame(
-            pd.DataFrame({"old_id": [data_node_id("row1")], "new_id": [data_node_id("rowx")]})
+        mapping = pd.DataFrame(
+            {"old_id": [data_node_id("row1")], "new_id": [data_node_id("rowx")]}
         )
         out, removed = apply_node_mapping(num_graph, mapping)
         ids = {r["id"] for r in out.nodes.collect()}
@@ -118,8 +131,8 @@ class TestApplyMapping:
         assert removed == 0  # rename: one out, one in
 
     def test_merge_into_existing_removes(self, spark, num_graph):
-        mapping = spark.createDataFrame(
-            pd.DataFrame({"old_id": [data_node_id("row1")], "new_id": [data_node_id("row9")]})
+        mapping = pd.DataFrame(
+            {"old_id": [data_node_id("row1")], "new_id": [data_node_id("row9")]}
         )
         out, removed = apply_node_mapping(num_graph, mapping)
         assert removed == 1
@@ -132,8 +145,8 @@ class TestApplyMapping:
             spark, TableCorpus("t", t, "tid", ["a"]), TextCorpus("s", s, "sid", "text"),
             max_n=1, auto_order=False,
         )
-        mapping = spark.createDataFrame(
-            pd.DataFrame({"old_id": [data_node_id("alpha")], "new_id": [data_node_id("beta")]})
+        mapping = pd.DataFrame(
+            {"old_id": [data_node_id("alpha")], "new_id": [data_node_id("beta")]}
         )
         out, _ = apply_node_mapping(g, mapping)
         for r in out.edges.collect():
@@ -147,7 +160,7 @@ class TestApplyMapping:
             {"old_id": [data_node_id("row1"), data_node_id("row2")],
              "new_id": [data_node_id("merged"), data_node_id("merged")]}
         )
-        out, _ = apply_node_mapping(num_graph, spark.createDataFrame(mapping_pdf))
+        out, _ = apply_node_mapping(num_graph, mapping_pdf)
         sql = """
             SELECT DISTINCT least(ns, nd) AS src, greatest(ns, nd) AS dst FROM (
               SELECT COALESCE(m1.new_id, e.src) AS ns, COALESCE(m2.new_id, e.dst) AS nd

@@ -1,18 +1,24 @@
 """DuckDB-oracle equivalence checks for the relational stages of the
 pipeline: graph construction joins, filtering semantics, induced subgraphs,
-expansion joins, bucket assignment, and ranking aggregation."""
+Algorithm 2's expansion and sink removal, node mappings, bucket assignment,
+and ranking aggregation."""
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pyspark.sql import functions as F
 
+from repro.core.expand import expand_graph
 from repro.core.graph import (
     DATA_PREFIX,
+    Graph,
     TableCorpus,
     TextCorpus,
     build_graph,
     filter_to_term_corpus,
+    pandas_frame,
 )
-from repro.core.merge import bucket_label, merge_numeric_buckets
+from repro.core.merge import apply_node_mapping, bucket_label, merge_numeric_buckets
 from repro.oracle import assert_equivalent
 
 
@@ -136,6 +142,126 @@ class TestSubgraphOracle:
         nodes, edges = graph.nodes.toPandas(), graph.edges.toPandas()
         assert_equivalent(sub.nodes, kept, nodes=nodes, k=ids)
         assert_equivalent(sub.edges, self.EDGES_SQL.format(kept=kept), nodes=nodes, edges=edges, k=ids)
+
+
+TERMS = ["a", "b", "c", "d", "e"]
+
+
+@st.composite
+def graph_and_kb(draw):
+    """Small graphs over two documents and the data nodes of TERMS, and KBs
+    over those terms plus three the graph lacks (loops, repeats and both
+    directions of a pair allowed)."""
+    data = draw(st.sets(st.sampled_from(TERMS), min_size=1))
+    ids = ["s::1", "t::1"] + [DATA_PREFIX + t for t in sorted(data)]
+    pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids)).filter(lambda e: e[0] < e[1])
+    edges = draw(st.sets(pairs, max_size=10))
+    kb = draw(st.lists(st.tuples(*[st.sampled_from(TERMS + ["x", "y", "z"])] * 2), max_size=8))
+    nodes = pd.DataFrame(
+        {
+            "id": ids,
+            "type": ["text", "tuple"] + ["data"] * len(data),
+            "corpus": ["s", "t"] + [""] * len(data),
+        }
+    )
+    return (
+        nodes,
+        pd.DataFrame(sorted(edges), columns=["src", "dst"], dtype=object),
+        pd.DataFrame(kb, columns=["subject", "object"], dtype=object),
+    )
+
+
+class TestExpandOracle:
+    """Algorithm 2 == SQL: symmetric KB fetch for the graph's data terms, new
+    data nodes, one pass of degree-≤1 sink removal (among the new nodes
+    only under "added"), then the induced edges."""
+
+    SQL = """
+        WITH kb1 AS (SELECT subject AS s, object AS o FROM kb WHERE subject <> object),
+        fetched AS (
+          SELECT 'd::' || s AS src, 'd::' || o AS dst
+          FROM (SELECT s, o FROM kb1 UNION SELECT o, s FROM kb1)
+          WHERE 'd::' || s IN (SELECT id FROM nodes WHERE type = 'data')
+        ), new_nodes AS (
+          SELECT DISTINCT dst AS id FROM fetched WHERE dst NOT IN (SELECT id FROM nodes)
+        ), all_edges AS (
+          SELECT DISTINCT least(src, dst) AS src, greatest(src, dst) AS dst
+          FROM (SELECT src, dst FROM edges UNION ALL SELECT src, dst FROM fetched)
+          WHERE src <> dst
+        ), degree AS (
+          SELECT id, COUNT(*) AS d
+          FROM (SELECT src AS id FROM all_edges UNION ALL SELECT dst FROM all_edges)
+          GROUP BY id
+        ), sinks AS ({sinks}), kept AS (
+          SELECT id, type, corpus FROM nodes
+          UNION ALL SELECT id, 'data', '' FROM new_nodes
+        )
+    """
+    SINKS = {
+        "none": "SELECT id FROM degree WHERE false",
+        "all": "SELECT id FROM degree WHERE d <= 1",
+        "added": "SELECT id FROM degree WHERE d <= 1 AND id IN (SELECT id FROM new_nodes)",
+    }
+
+    @given(graph_and_kb())
+    @settings(max_examples=25, deadline=None)
+    def test_expand_equals_sql(self, spark, case):
+        nodes, edges, kb = case
+        graph = Graph(spark, nodes, edges, "t")
+        kb_df = pandas_frame(spark, kb, "subject string, object string")
+        for scope, sinks in self.SINKS.items():
+            out = expand_graph(graph, kb_df, sink_scope=scope)
+            with_sinks = self.SQL.format(sinks=sinks)
+            kept = with_sinks + "SELECT * FROM kept WHERE id NOT IN (SELECT id FROM sinks)"
+            assert_equivalent(out.nodes, kept, nodes=nodes, edges=edges, kb=kb)
+            kept_edges = with_sinks + """
+                SELECT src, dst FROM all_edges
+                WHERE src NOT IN (SELECT id FROM sinks) AND dst NOT IN (SELECT id FROM sinks)
+            """
+            assert_equivalent(out.edges, kept_edges, nodes=nodes, edges=edges, kb=kb)
+
+
+class TestMappingOracle:
+    """apply_node_mapping == SQL left joins of nodes and edges on the
+    mapping (one hop: a chain a→b, b→c moves a to b and b to c)."""
+
+    NODES_SQL = """
+        SELECT DISTINCT COALESCE(m.new_id, n.id) AS id, n.type, n.corpus
+        FROM nodes n LEFT JOIN m ON n.id = m.old_id AND m.old_id <> m.new_id
+    """
+    EDGES_SQL = """
+        SELECT DISTINCT least(ns, nd) AS src, greatest(ns, nd) AS dst FROM (
+          SELECT COALESCE(m1.new_id, e.src) AS ns, COALESCE(m2.new_id, e.dst) AS nd
+          FROM e LEFT JOIN m m1 ON e.src = m1.old_id AND m1.old_id <> m1.new_id
+                 LEFT JOIN m m2 ON e.dst = m2.old_id AND m2.old_id <> m2.new_id
+        ) WHERE ns <> nd
+    """
+
+    @pytest.mark.parametrize(
+        "pairs,removed",
+        [
+            ([("a", "b")], 1),  # into an existing node
+            ([("a", "b"), ("b", "c")], 1),  # a chain
+            ([("c", "d"), ("d", "d")], 1),  # c–d becomes a self-loop; d→d is no move
+            ([("a", "new")], 0),  # a rename
+        ],
+    )
+    def test_mapping_equals_sql(self, spark, pairs, removed):
+        ids = ["s::1", "t::1"] + [DATA_PREFIX + t for t in "abcd"]
+        nodes = pd.DataFrame(
+            {"id": ids, "type": ["text", "tuple"] + ["data"] * 4, "corpus": ["s", "t"] + [""] * 4}
+        )
+        edges = pd.DataFrame(
+            [("d::a", "s::1"), ("d::b", "t::1"), ("d::c", "d::d"), ("d::c", "s::1"), ("d::d", "t::1")],
+            columns=["src", "dst"],
+        )
+        m = pd.DataFrame(
+            [(DATA_PREFIX + o, DATA_PREFIX + n) for o, n in pairs], columns=["old_id", "new_id"]
+        )
+        out, got_removed = apply_node_mapping(Graph(spark, nodes, edges, "t"), m)
+        assert got_removed == removed
+        assert_equivalent(out.nodes, self.NODES_SQL, nodes=nodes, m=m)
+        assert_equivalent(out.edges, self.EDGES_SQL, e=edges, m=m)
 
 
 class TestBucketOracle:

@@ -66,7 +66,7 @@ class TestPipelineInvariants:
         kb = prepare_kb(spark, imdb_sc.kb)
         res = run_tdmatch(
             spark, imdb_sc.reviews, imdb_sc.movies_wt,
-            config=TDMatchConfig(expand=True, collect_sizes=True, **CFG), kb=kb,
+            config=TDMatchConfig(expand=True, **CFG), kb=kb,
         )
         assert set(res.graph_sizes) == {"original", "expanded"}
         for n, e in res.graph_sizes.values():
@@ -76,9 +76,7 @@ class TestPipelineInvariants:
         kb = prepare_kb(spark, imdb_sc.kb)
         res = run_tdmatch(
             spark, imdb_sc.reviews, imdb_sc.movies_wt,
-            config=TDMatchConfig(
-                expand=True, compress=("msp", 0.5), collect_sizes=True, **CFG
-            ),
+            config=TDMatchConfig(expand=True, compress=("msp", 0.5), **CFG),
             kb=kb,
         )
         n_exp, e_exp = res.graph_sizes["expanded"]

@@ -122,6 +122,36 @@ class TestBfsProperties:
         assert sorted(got) == sorted(want)
 
 
+class TestGraphIndexProperties:
+    @given(edges_st, st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_from_edges_equals_from_neighbours(self, edges, rnd):
+        # nodes without an edge stay in the index; edge rows come in any
+        # order and direction, some of them twice
+        adj = _adj(edges)
+        ids = NODES[:]
+        rnd.shuffle(ids)
+        rows = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in edges]
+        rows += rnd.sample(rows, len(rows) // 3)
+        rnd.shuffle(rows)
+        got = GraphIndex.from_edges(ids, [u for u, _ in rows], [v for _, v in rows])
+        want = GraphIndex.from_neighbours(list(adj), list(adj.values()))
+        assert got.ids.tolist() == want.ids.tolist()
+        assert got.offsets.tolist() == want.offsets.tolist()
+        assert got.targets.tolist() == want.targets.tolist()
+        assert got.targets.dtype == want.targets.dtype
+
+    def test_from_edges_rejects_unknown_end(self):
+        import pytest
+
+        with pytest.raises(ValueError):
+            GraphIndex.from_edges(["a", "b"], ["a"], ["z"])
+        with pytest.raises(ValueError):
+            GraphIndex.from_edges([], ["a"], ["b"])
+        empty = GraphIndex.from_edges([], [], [])
+        assert empty.offsets.tolist() == [0] and len(empty.targets) == 0
+
+
 class TestWalkProperties:
     @given(edges_st, st.sampled_from(NODES), st.integers(min_value=1, max_value=12),
            st.integers(min_value=0, max_value=5))

@@ -73,8 +73,8 @@ class TestGenerateWalks:
             out = generate_walks(graph, num_walks=2, walk_length=5, seed=1)
             return [r["walk"] for r in out.collect()]
 
-        ref = walks(Graph(g.nodes.coalesce(1), g.edges.coalesce(1), g.term_corpus))
-        assert walks(Graph(g.nodes.repartition(7), g.edges.repartition(5), g.term_corpus)) == ref
+        ref = walks(Graph.from_frames(g.nodes.coalesce(1), g.edges.coalesce(1), g.term_corpus))
+        assert walks(Graph.from_frames(g.nodes.repartition(7), g.edges.repartition(5), g.term_corpus)) == ref
         before = spark.conf.get("spark.sql.shuffle.partitions")
         try:
             for n in ("3", "64"):
@@ -92,14 +92,14 @@ class TestGenerateWalks:
         assert walks.rdd.getNumPartitions() == 1
 
     def test_empty_graph(self, spark, g):
-        empty = Graph(g.nodes.limit(0), g.edges.limit(0), g.term_corpus)
+        empty = Graph.from_frames(g.nodes.limit(0), g.edges.limit(0), g.term_corpus)
         walks = generate_walks(empty, num_walks=2, walk_length=5, seed=0)
         assert walks.count() == 0
         assert walks.schema.simpleString() == "struct<walk:array<string>>"
         assert "LogicalRDD" not in walks._jdf.queryExecution().analyzed().toString()
 
     def test_isolated_nodes_only(self, spark, g):
-        lonely = Graph(g.nodes, g.edges.limit(0), g.term_corpus)
+        lonely = Graph.from_frames(g.nodes, g.edges.limit(0), g.term_corpus)
         out = generate_walks(lonely, num_walks=2, walk_length=5, seed=0)
         got = [r["walk"] for r in out.collect()]
         ids = sorted(r["id"] for r in g.nodes.collect())
