@@ -28,6 +28,7 @@ from repro.core.embed import train_embeddings, train_token_embeddings
 from repro.core.graph import build_graph, filter_to_term_corpus
 from repro.core.match import top_k_matches
 from repro.core.merge import merge_synonyms
+from repro.core.pipeline import match_documents
 from repro.core.walks import generate_walks
 from repro.datasets import audit, claims, corona
 from repro.kb.synth_kb import prepare_synonyms
@@ -83,23 +84,19 @@ def _time_sbe(spark, qc, tc) -> Dict[str, float]:
 
 
 def _time_wrw(spark, qc, tc, synonyms, *, window: int) -> Dict[str, float]:
+    """W-RW train/test times; the test step is run_tdmatch's own top-k."""
     t0 = time.time()
     g = build_graph(spark, qc, tc, filter_second=False)
     if synonyms is not None:
         g, _ = merge_synonyms(g, synonyms)
     g = filter_to_term_corpus(g)
-    walks = generate_walks(g, num_walks=N_WALKS, walk_length=WALK_LEN, seed=0).cache()
-    emb = train_embeddings(walks, vector_size=VEC_SIZE, window=window, seed=0).cache()
-    _count(emb)
+    walks = generate_walks(g, num_walks=N_WALKS, walk_length=WALK_LEN, seed=0)
+    vectors = train_embeddings(walks, vector_size=VEC_SIZE, window=window, seed=0).toPandas()
     train = time.time() - t0
 
     t0 = time.time()
-    q = emb.join(g.doc_nodes(qc.name).select(F.col("id").alias("node")), "node")
-    t = emb.join(g.doc_nodes(tc.name).select(F.col("id").alias("node")), "node")
-    n = _count(top_k_matches(q, t, k=K))
+    n = len(match_documents(g, vectors, qc, tc, k=K))
     test = (time.time() - t0) / max(1, n // K)
-    walks.unpersist()
-    emb.unpersist()
     return {"Train": train, "Test": test}
 
 

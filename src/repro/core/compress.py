@@ -182,7 +182,7 @@ def msp_compress(
     keep = np.zeros(len(index.targets), dtype=bool)
     for s in np.unique(src):
         keep |= shortest_path_mask(index, s, dst[src == s])
-    # ids are sorted, so (min, max) of node numbers is canonical_edges' order
+    # ids are sorted, so (min, max) of node numbers is the canonical (src < dst) order
     ends = np.stack([np.repeat(np.arange(len(index.ids)), index.degrees()), index.targets])
     lo, hi = np.unique(np.sort(ends[:, keep], axis=0), axis=1)
     edges = pd.DataFrame({"src": index.ids[lo], "dst": index.ids[hi]})

@@ -14,18 +14,18 @@ Corpus kinds mirror the paper's three document types: a relational table
 paragraphs/sentences), and structured text (documents = taxonomy concepts,
 with parent edges between metadata nodes, §II-A).
 
-Each corpus is tokenized once, on the driver, into a term table
-``(doc, attr, term)`` (:func:`term_table`). Everything ``build_graph``
-derives from terms comes from the two tables: the §II-B ordering (distinct
-unigrams), the document-term edges and the column-term edges.
+Each corpus is collected once and tokenized on the driver into its
+document ids and term rows ``(doc, attr, term)`` (:func:`tokenize_corpus`).
+Everything ``build_graph`` derives from terms comes from those rows: the
+§II-B ordering (distinct unigrams), the data nodes, the document-term edges
+and the column-term edges.
 
-Corpus-scale work runs in Spark SQL: selecting the documents, the term
-tables and Algorithm 1's build. ``build_graph`` ends with one collect of the
-graph; from there it is graph-scale, and :class:`Graph` keeps the rows on
-the driver as pandas frames. The stages after the build (merging, the
-late §II-B filter, expansion, MSP) rewrite those rows without a Spark job,
-and ``Graph.nodes`` / ``Graph.edges`` give them to Spark consumers as
-Arrow local relations.
+Only corpus selection runs in Spark SQL: the documents' ids and text, and a
+taxonomy's parent join. Algorithm 1's build runs on the driver in pandas,
+and :class:`Graph` keeps its rows there as pandas frames. The stages after
+the build (merging, the late §II-B filter, expansion, MSP) rewrite those
+rows without a Spark job, and ``Graph.nodes`` / ``Graph.edges`` give them to
+Spark consumers as Arrow local relations.
 
 Term filtering (§II-B): ``build_graph`` creates data nodes from the corpus
 with the smaller number of distinct tokens and keeps, for the other corpus,
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
@@ -299,22 +299,12 @@ def _positions(ids: np.ndarray, names: Sequence[str]) -> np.ndarray:
 
 
 def canonical_rows(src: Sequence[str], dst: Sequence[str]) -> pd.DataFrame:
-    """pandas(src, dst): :func:`canonical_edges` of driver edge ends."""
+    """pandas(src, dst): undirected edges in canonical order (``src < dst``),
+    without loops or repeats."""
     src, dst = np.asarray(src, dtype=object), np.asarray(dst, dtype=object)
     lower = src < dst
     edges = pd.DataFrame({"src": np.where(lower, src, dst), "dst": np.where(lower, dst, src)})
     return edges[edges["src"] != edges["dst"]].drop_duplicates(ignore_index=True)
-
-
-def canonical_edges(df: DataFrame) -> DataFrame:
-    """Normalize an edge list: undirected canonical order, no loops, distinct."""
-    return (
-        df.select(
-            F.least("src", "dst").alias("src"), F.greatest("src", "dst").alias("dst")
-        )
-        .where(F.col("src") != F.col("dst"))
-        .distinct()
-    )
 
 
 def pandas_frame(spark: SparkSession, pdf: pd.DataFrame, schema: str) -> DataFrame:
@@ -337,54 +327,32 @@ def _doc_id(corpus) -> Column:
     return F.concat(F.lit(corpus.name + "::"), F.col(corpus.id_col).cast("string"))
 
 
-_TERM_SCHEMA = "doc string, attr string, term string"
+def tokenize_corpus(corpus, *, max_n: int, do_stem: bool) -> Tuple[pd.Series, pd.DataFrame]:
+    """(document ids, pandas(doc, attr, term)): the corpus tokenized once,
+    on the driver (§II).
 
-
-def _term_rows(corpus, *, max_n: int, do_stem: bool) -> pd.DataFrame:
-    """pandas(doc, attr, term): the corpus tokenized on the driver (§II).
-
-    Spark SQL selects each document's text (a table: each cell, cast to
-    string, with its attribute name); one ``toPandas`` brings it to the
-    driver, where :func:`preprocess.terms` runs per row.
+    Spark SQL selects each document's id and text (a table: each cell, cast
+    to string); one ``toPandas`` brings them to the driver, where
+    :func:`preprocess.terms` runs per text. A table yields one term row per
+    term of each cell, with ``attr`` the attribute name, so n-grams never
+    span two attributes; text and structured text yield one per term of
+    each document, with ``attr`` null. The ids include the documents
+    without terms.
     """
     if corpus.kind == "table":
-        cells = F.explode(
-            F.array(
-                *[
-                    F.struct(F.lit(a).alias("attr"), F.col(a).cast("string").alias("text"))
-                    for a in corpus.attr_cols
-                ]
-            )
-        ).alias("cell")
-        df = corpus.df.select(_doc_id(corpus).alias("doc"), cells).select(
-            "doc", "cell.attr", "cell.text"
-        )
+        attrs, texts = corpus.attr_cols, [F.col(a).cast("string") for a in corpus.attr_cols]
     else:
-        df = corpus.df.select(
-            _doc_id(corpus).alias("doc"),
-            F.lit(None).cast("string").alias("attr"),
-            F.col(corpus.text_col).alias("text"),
-        )
-    pdf = df.toPandas()
+        attrs, texts = [None], [F.col(corpus.text_col)]
+    pdf = corpus.df.select(
+        _doc_id(corpus).alias("doc"), *[t.alias(f"_text{i}") for i, t in enumerate(texts)]
+    ).toPandas()
     rows = [
         (doc, attr, term)
-        for doc, attr, text in zip(pdf["doc"], pdf["attr"], pdf["text"])
+        for doc, *cells in pdf.itertuples(index=False, name=None)
+        for attr, text in zip(attrs, cells)
         for term in terms(text or "", max_n=max_n, do_stem=do_stem)
     ]
-    return pd.DataFrame(rows, columns=["doc", "attr", "term"], dtype=object)
-
-
-def term_table(corpus, *, max_n: int, do_stem: bool) -> DataFrame:
-    """DataFrame(doc, attr, term): the corpus tokenized once (§II).
-
-    A table yields one row per term of each cell, with ``attr`` the
-    attribute name, so n-grams never span two attributes; text and
-    structured text yield one row per term of each document, with ``attr``
-    null. The rows are tokenized on the driver and come back as a local
-    relation (:func:`pandas_frame`), so no Python worker runs.
-    """
-    spark = corpus.df.sparkSession
-    return pandas_frame(spark, _term_rows(corpus, max_n=max_n, do_stem=do_stem), _TERM_SCHEMA)
+    return pdf["doc"], pd.DataFrame(rows, columns=["doc", "attr", "term"], dtype=object)
 
 
 def _unigram_count(rows: pd.DataFrame) -> int:
@@ -397,25 +365,26 @@ def _unigram_count(rows: pd.DataFrame) -> int:
     return t[~t.str.contains(TERM_SEP, regex=False)].nunique()
 
 
-def column_nodes(spark: SparkSession, corpus: TableCorpus) -> DataFrame:
-    """DataFrame(id, type, corpus): one column metadata node per attribute of
-    a table corpus, whether or not the attribute has terms (Alg. 1 l. 5-10).
+def _parent_edges(corpus: StructuredTextCorpus) -> pd.DataFrame:
+    """pandas(src, dst): the hierarchy edges between concept nodes (§II-A).
 
-    A literal relation evaluated in the JVM. ``createDataFrame(<list>)``
-    would pickle the rows through an RDD job, whose workers would be the
-    only Python worker pool of the pipeline (DESIGN.md).
+    The parent id is resolved by joining back on the id column in Spark, so
+    its physical type (often float, from nullable pandas columns) never
+    leaks into the node id string; a parent id that names no concept gives
+    no edge.
     """
-    rows = [
-        F.struct(
-            F.lit(f"col::{corpus.name}::{a}").alias("id"),
-            F.lit(COLUMN).alias("type"),
-            F.lit(corpus.name).alias("corpus"),
-        )
-        for a in corpus.attr_cols
-    ]
-    # the cast types an empty array and makes the columns nullable
-    nodes = F.array(*rows).cast("array<struct<id:string,type:string,corpus:string>>")
-    return spark.range(1).select(F.inline(nodes))
+    pre = corpus.name + "::"
+    child = corpus.df.select(
+        F.col(corpus.id_col).cast("string").alias("_cid"), F.col(corpus.parent_col).alias("_pref")
+    ).where(F.col("_pref").isNotNull())
+    parent = corpus.df.select(
+        F.col(corpus.id_col).alias("_pid_raw"), F.col(corpus.id_col).cast("string").alias("_pid")
+    )
+    return (
+        child.join(parent, child["_pref"] == parent["_pid_raw"])
+        .select(F.concat(F.lit(pre), "_cid").alias("src"), F.concat(F.lit(pre), "_pid").alias("dst"))
+        .toPandas()
+    )
 
 
 def build_graph(
@@ -434,77 +403,38 @@ def build_graph(
     tokens plays the role of the *first* set so its terms define the data
     nodes and the other corpus is filtered against them (§II-B). Metadata
     nodes are created for every document of both corpora regardless.
+
+    Each corpus is collected once (:func:`tokenize_corpus`), a structured
+    one once more for its parent edges; the graph is built from those rows
+    on the driver.
     """
-    r1, r2 = (_term_rows(c, max_n=max_n, do_stem=do_stem) for c in (first, second))
+    (d1, r1), (d2, r2) = (tokenize_corpus(c, max_n=max_n, do_stem=do_stem) for c in (first, second))
     if auto_order and _unigram_count(r2) < _unigram_count(r1):
-        first, second, r1, r2 = second, first, r2, r1
-    t1, t2 = (pandas_frame(spark, r, _TERM_SCHEMA) for r in (r1, r2))
+        first, second, d1, d2, r1, r2 = second, first, d2, d1, r2, r1
     if filter_second:
         # also drops the second corpus's column-term edges of filtered terms
-        t2 = t2.join(t1.select("term"), "term", "left_semi")
+        r2 = r2[r2["term"].isin(r1["term"])]
 
-    def _meta_nodes(corpus) -> DataFrame:
-        t = {"table": TUPLE, "text": TEXT, "structured": CONCEPT}[corpus.kind]
-        return corpus.df.select(
-            _doc_id(corpus).alias("id"),
-            F.lit(t).alias("type"),
-            F.lit(corpus.name).alias("corpus"),
-        )
-
-    def _term_edges(src: Column, terms: DataFrame) -> DataFrame:
-        return terms.select(src.alias("src"), F.concat(F.lit(DATA_PREFIX), "term").alias("dst"))
-
-    node_parts = [_meta_nodes(first), _meta_nodes(second)]
-    edge_parts = []
-
-    for corpus, terms in ((first, t1), (second, t2)):
-        edge_parts.append(_term_edges(F.col("doc"), terms))
+    node_parts, edge_parts = [], []
+    for corpus, docs, rows in ((first, d1, r1), (second, d2, r2)):
+        kind = {"table": TUPLE, "text": TEXT, "structured": CONCEPT}[corpus.kind]
+        data = DATA_PREFIX + rows["term"]
+        node_parts += [
+            pd.DataFrame({"id": docs, "type": kind, "corpus": corpus.name}),
+            pd.DataFrame({"id": data, "type": DATA, "corpus": ""}),
+        ]
+        edge_parts.append(pd.DataFrame({"src": rows["doc"], "dst": data}))
         if corpus.kind == "table":
-            node_parts.append(column_nodes(spark, corpus))
-            edge_parts.append(
-                _term_edges(F.concat(F.lit(f"col::{corpus.name}::"), "attr"), terms)
-            )
+            col = f"col::{corpus.name}::"
+            cols = [col + a for a in corpus.attr_cols]
+            node_parts.append(pd.DataFrame({"id": cols, "type": COLUMN, "corpus": corpus.name}))
+            edge_parts.append(pd.DataFrame({"src": col + rows["attr"], "dst": data}))
         elif corpus.kind == "structured":
-            # hierarchy edges between concept metadata nodes (§II-A); the
-            # parent id is resolved by joining back on the id column so its
-            # physical type (often float, from nullable pandas columns)
-            # never leaks into the node id string
-            pre = corpus.name + "::"
-            child = corpus.df.select(
-                F.col(corpus.id_col).cast("string").alias("_cid"),
-                F.col(corpus.parent_col).alias("_pref"),
-            ).where(F.col("_pref").isNotNull())
-            parent = corpus.df.select(
-                F.col(corpus.id_col).alias("_pid_raw"),
-                F.col(corpus.id_col).cast("string").alias("_pid"),
-            )
-            hier = child.join(
-                parent, child["_pref"] == parent["_pid_raw"]
-            ).select(
-                F.concat(F.lit(pre), "_cid").alias("src"),
-                F.concat(F.lit(pre), "_pid").alias("dst"),
-            )
-            edge_parts.append(hier)
-
-    data_nodes = (
-        t1.select("term")
-        .union(t2.select("term"))
-        .select(
-            F.concat(F.lit(DATA_PREFIX), "term").alias("id"),
-            F.lit(DATA).alias("type"),
-            F.lit("").alias("corpus"),
-        )
-    )
-    node_parts.append(data_nodes)
-
-    nodes = node_parts[0]
-    for p in node_parts[1:]:
-        nodes = nodes.unionByName(p)
-    edges = edge_parts[0]
-    for p in edge_parts[1:]:
-        edges = edges.unionByName(p)
-
-    return Graph.from_frames(nodes.distinct(), canonical_edges(edges), first.name)
+            edge_parts.append(_parent_edges(corpus))
+    nodes = pd.concat(node_parts, ignore_index=True).drop_duplicates(ignore_index=True)
+    # a document with a null id gets a node but no edge
+    edges = pd.concat(edge_parts, ignore_index=True).dropna()
+    return Graph(spark, nodes, canonical_rows(edges["src"], edges["dst"]), first.name)
 
 
 def filter_to_term_corpus(graph: Graph, *, kb: Optional[DataFrame] = None) -> Graph:

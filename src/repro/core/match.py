@@ -5,9 +5,11 @@ Given embeddings for query documents (first corpus) and target documents
 
 Two implementations:
 
-* :func:`top_k_matches` — production path: collect both sides (a few
-  thousand vectors here), L2-normalize them, and rank with one dense matmul
-  and a stable sort on the driver (DESIGN.md layering note).
+* :func:`top_k_rows` — production path, on the driver: L2-normalize both
+  sides (a few thousand vectors here) and rank with one dense matmul and a
+  stable sort (DESIGN.md layering note). ``run_tdmatch`` calls it on the
+  Word2Vec vectors it collected; :func:`top_k_matches` collects two
+  embedding DataFrames in one action and calls it.
 * :func:`top_k_matches_join` — pure Spark-SQL formulation (explode vector
   dimensions, join, aggregate, window rank). Quadratic shuffle, used in
   tests to cross-check the dense path and as the reference semantics.
@@ -18,7 +20,7 @@ from typing import Tuple
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
 from .graph import pandas_frame
@@ -35,6 +37,37 @@ def _unit_rows(pdf: pd.DataFrame) -> Tuple[np.ndarray, np.ndarray]:
     return ids[order], mat / norms
 
 
+def top_k_rows(query: pd.DataFrame, target: pd.DataFrame, *, k: int) -> pd.DataFrame:
+    """pandas(query, target, score, rank) of two driver frames (id, vector):
+    rank 1..k of the targets per query, by cosine similarity.
+
+    Deterministic: ties in score are broken by target id (ascending), so two
+    runs of the same pipeline produce identical ranked lists.
+    """
+    q_ids, q = _unit_rows(query)
+    t_ids, t = _unit_rows(target)
+    kk = min(k, len(t_ids)) if len(q_ids) else 0
+    sims = q @ t.T if kk else np.zeros((len(q_ids), 0))
+    # targets are in id order, so a stable sort on -score breaks ties by id
+    top = np.argsort(-sims, axis=1, kind="stable")[:, :kk]
+    return pd.DataFrame(
+        {
+            "query": np.repeat(q_ids, kk),
+            "target": t_ids[top.ravel()],
+            "score": np.take_along_axis(sims, top, axis=1).ravel(),
+            "rank": np.tile(np.arange(1, kk + 1, dtype=np.int32), len(q_ids)),
+        }
+    )
+
+
+def matches_frame(spark: SparkSession, ranked: pd.DataFrame) -> DataFrame:
+    """The rows of :func:`top_k_rows` as a DataFrame: a local relation in
+    one partition, which keeps its order and spares each action on it a
+    shuffle."""
+    schema = "query string, target string, score double, rank int"
+    return pandas_frame(spark, ranked, schema).coalesce(1)
+
+
 def top_k_matches(
     query_emb: DataFrame,
     target_emb: DataFrame,
@@ -43,11 +76,8 @@ def top_k_matches(
     query_col: str = "node",
     target_col: str = "node",
 ) -> DataFrame:
-    """DataFrame(query, target, score, rank) — rank 1..k per query.
-
-    Deterministic: ties in score are broken by target id (ascending), so two
-    runs of the same pipeline produce identical ranked lists.
-    """
+    """DataFrame(query, target, score, rank): :func:`top_k_rows` of two
+    embedding DataFrames, collected in one action."""
     # one collect for both sides: Spark can reuse an exchange they share
     sides = query_emb.select(
         F.lit(True).alias("is_query"), F.col(query_col).cast("string").alias("id"), "vector"
@@ -56,25 +86,8 @@ def top_k_matches(
             F.lit(False).alias("is_query"), F.col(target_col).cast("string").alias("id"), "vector"
         )
     ).toPandas()
-    q_ids, q = _unit_rows(sides[sides["is_query"]])
-    t_ids, t = _unit_rows(sides[~sides["is_query"]])
-    kk = min(k, len(t_ids)) if len(q_ids) else 0
-    sims = q @ t.T if kk else np.zeros((len(q_ids), 0))
-    # targets are in id order, so a stable sort on -score breaks ties by id
-    top = np.argsort(-sims, axis=1, kind="stable")[:, :kk]
-    pdf = pd.DataFrame(
-        {
-            "query": np.repeat(q_ids, kk),
-            "target": t_ids[top.ravel()],
-            "score": np.take_along_axis(sims, top, axis=1).ravel(),
-            "rank": np.tile(np.arange(1, kk + 1, dtype=np.int32), len(q_ids)),
-        }
-    )
-    # a local relation; one partition keeps its order and spares each
-    # action on it a shuffle
-    return pandas_frame(
-        query_emb.sparkSession, pdf, "query string, target string, score double, rank int"
-    ).coalesce(1)
+    ranked = top_k_rows(sides[sides["is_query"]], sides[~sides["is_query"]], k=k)
+    return matches_frame(query_emb.sparkSession, ranked)
 
 
 def top_k_matches_join(

@@ -14,17 +14,18 @@ The result carries the ranked matches plus the graph-size trail
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from .compress import msp_compress, ssum_like_compress
 from .embed import train_embeddings
 from .expand import expand_graph
-from .graph import Graph, build_graph, filter_to_term_corpus
-from .match import top_k_matches
+from .graph import DOC_TYPES, Graph, build_graph, filter_to_term_corpus, pandas_frame
+from .match import matches_frame, top_k_rows
 from .merge import merge_numeric_buckets, merge_synonyms
 from .walks import generate_walks
 
@@ -54,17 +55,36 @@ class TDMatchConfig:
 
 @dataclass
 class TDMatchResult:
-    matches: DataFrame  # (query, target, score, rank) with raw doc ids
+    matches: DataFrame  # (query, target, score, rank) with raw doc ids, a local relation
     # stage -> (#nodes, #edges): "original", plus "expanded" and
     # "compressed" when those stages run
     graph_sizes: Dict[str, Tuple[int, int]]
-    embeddings: DataFrame  # (node, vector) for every graph node
+    embeddings: DataFrame  # (node, vector) for every graph node, a local relation
     graph: Graph
 
 
 def strip_prefix(col, corpus_name: str):
     """Graph doc id ``name::raw`` -> raw document id column."""
     return F.expr(f"substring({col}, {len(corpus_name) + 3})")
+
+
+def match_documents(
+    graph: Graph, vectors: pd.DataFrame, query_corpus, target_corpus, *, k: int
+) -> pd.DataFrame:
+    """pandas(query, target, score, rank) with raw document ids (§IV-B): the
+    top-k target documents of each query document by the cosine of their
+    collected vectors, pandas(node, vector)."""
+    nodes = graph.node_rows
+    docs = nodes[nodes["type"].isin(DOC_TYPES)]
+    vectors = vectors.rename(columns={"node": "id"})
+
+    def side(corpus) -> pd.DataFrame:
+        return vectors[vectors["id"].isin(docs.loc[docs["corpus"] == corpus.name, "id"])]
+
+    ranked = top_k_rows(side(query_corpus), side(target_corpus), k=k)
+    for col, corpus in (("query", query_corpus), ("target", target_corpus)):
+        ranked[col] = ranked[col].str[len(corpus.name) + 2 :]
+    return ranked
 
 
 def run_tdmatch(
@@ -90,9 +110,9 @@ def run_tdmatch(
     # filter must see the merged node, not the raw token stream. With a KB
     # present, filtering also keeps second-corpus terms the KB can bridge
     # (see filter_to_term_corpus).
-    # build_graph collects the graph to the driver once; the stages after it
-    # rewrite those rows with no Spark job, and a stage's input is dropped
-    # as soon as it returns.
+    # build_graph builds the graph on the driver from one collect per corpus;
+    # the stages after it rewrite those rows with no Spark job, and a
+    # stage's input is dropped as soon as it returns.
     graph = build_graph(
         spark,
         query_corpus,
@@ -128,29 +148,19 @@ def run_tdmatch(
 
     walks = generate_walks(
         graph, num_walks=cfg.num_walks, walk_length=cfg.walk_length, seed=cfg.seed
-    ).cache()
-    emb = train_embeddings(
+    )
+    # the one Spark job after Word2Vec's own: collect its vectors
+    vectors = train_embeddings(
         walks,
         vector_size=cfg.vector_size,
         window=cfg.window,
         seed=cfg.seed,
         max_iter=cfg.w2v_iter,
-    ).cache()
-
-    q_emb = emb.join(
-        graph.doc_nodes(query_corpus.name).select(F.col("id").alias("node")), "node"
+    ).toPandas()
+    ranked = match_documents(graph, vectors, query_corpus, target_corpus, k=cfg.k)
+    return TDMatchResult(
+        matches=matches_frame(spark, ranked),
+        graph_sizes=sizes,
+        embeddings=pandas_frame(spark, vectors, "node string, vector array<double>"),
+        graph=graph,
     )
-    t_emb = emb.join(
-        graph.doc_nodes(target_corpus.name).select(F.col("id").alias("node")), "node"
-    )
-    ranked = top_k_matches(q_emb, t_emb, k=cfg.k)
-    matches = ranked.select(
-        strip_prefix("query", query_corpus.name).alias("query"),
-        strip_prefix("target", target_corpus.name).alias("target"),
-        "score",
-        "rank",
-    ).cache()
-    matches.count()  # materialize so the walk/embedding caches can go
-    walks.unpersist()
-    emb.unpersist()
-    return TDMatchResult(matches=matches, graph_sizes=sizes, embeddings=emb, graph=graph)

@@ -6,12 +6,14 @@ titles). A *term* is one-or-more stemmed tokens joined by ``_`` and becomes a
 data node in the graph.
 
 Everything here is pure Python and runs on the driver:
-``graph.term_table`` selects each corpus's text in Spark SQL, collects it
-once and calls :func:`terms` per row, so no Spark Python worker tokenizes
-anything. No NLTK offline, so the stemmer is a compact suffix-stripping stemmer
-covering the inflections our corpora generate (plural/-ing/-ed/-ly/-tion/...);
-it is deterministic and idempotent on its own output for the suffixes it
-strips, which is all graph merging needs.
+``graph.tokenize_corpus`` selects each corpus's document ids and text in
+Spark SQL, collects them once and calls :func:`terms` per text, and
+``build_graph`` builds Algorithm 1's rows from that output, so no Spark
+Python worker tokenizes anything. No NLTK offline, so the stemmer is a
+compact suffix-stripping stemmer covering the inflections our corpora
+generate (plural/-ing/-ed/-ly/-tion/...); it is deterministic and
+idempotent on its own output for the suffixes it strips, which is all
+graph merging needs.
 """
 from __future__ import annotations
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.expand import expand_graph
 from repro.core.graph import (
+    StructuredTextCorpus,
     TableCorpus,
     TextCorpus,
     build_graph,
@@ -150,6 +151,17 @@ def test_filter_and_expand_independent_of_shuffle_partitions(spark):
     assert (data_node_id("genre"), "data", "") in e_nodes
 
 
+def _jobs_of(sc, group, stage, *args, **kwargs):
+    """(``stage(*args, **kwargs)``, the number of Spark jobs it ran)."""
+    sc.setJobGroup(group, group)
+    try:
+        out = stage(*args, **kwargs)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    return out, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
 class TestJoinPlans:
     def test_graph_stages_run_no_spark_job(self, spark):
         """After build_graph's collect, the graph-scale stages run on the
@@ -177,13 +189,7 @@ class TestJoinPlans:
 
         def run(name, stage, *args, **kwargs):
             group = f"test_graph_stages_run_no_spark_job.{name}"
-            sc.setJobGroup(group, name)
-            try:
-                out = stage(*args, **kwargs)
-            finally:
-                sc.setLocalProperty("spark.jobGroup.id", None)
-            sc._jsc.sc().listenerBus().waitUntilEmpty()
-            jobs[name] = len(sc.statusTracker().getJobIdsForGroup(group))
+            out, jobs[name] = _jobs_of(sc, group, stage, *args, **kwargs)
             return out
 
         g, removed = run("merge.synonyms", merge_synonyms, g, syn)
@@ -205,3 +211,63 @@ class TestJoinPlans:
             "msp": 0,
             "index": 0,
         }
+
+    def test_build_collects_each_corpus_once(self, spark):
+        """Algorithm 1 runs on the driver: build_graph's only Spark jobs are
+        one collect per corpus, and one more action for a taxonomy's parent
+        edges (a join: with broadcast joins off in this session, its two
+        shuffle stages run as jobs of their own)."""
+        t = spark.createDataFrame(pd.DataFrame({"tid": [1, 2], "a": ["tarantino drama", "heat"]}))
+        s = spark.createDataFrame(pd.DataFrame({"sid": [1, 2], "text": ["tarantino film", None]}))
+        x = spark.createDataFrame(
+            pd.DataFrame({"cid": [1, 2], "label": ["drama", "film"], "parent": [None, 1.0]})
+        )
+        table, text = TableCorpus("t", t, "tid", ["a"]), TextCorpus("s", s, "sid", "text")
+        tax = StructuredTextCorpus("x", x, "cid", "label", "parent")
+        sc = spark.sparkContext
+        jobs = {}
+        for name, pair in (("table+text", (table, text)), ("taxonomy+text", (tax, text))):
+            for fs in (True, False):
+                _, jobs[name, fs] = _jobs_of(
+                    sc, f"test_build_collects_each_corpus_once.{name}.{fs}", build_graph,
+                    spark, *pair, max_n=1, filter_second=fs,
+                )
+        assert jobs == {
+            ("table+text", True): 2,
+            ("table+text", False): 2,
+            ("taxonomy+text", True): 2 + 3,
+            ("taxonomy+text", False): 2 + 3,
+        }
+
+    def test_run_tdmatch_collects_the_vectors_once(self, spark, monkeypatch):
+        """After Word2Vec.fit returns, run_tdmatch runs one Spark job: the
+        collect of the vectors. Ranking and the result frames need none."""
+        from repro.core import embed
+        from repro.core.pipeline import TDMatchConfig, run_tdmatch
+
+        sc = spark.sparkContext
+        group = "test_run_tdmatch_collects_the_vectors_once"
+
+        class Word2Vec(embed.Word2Vec):
+            def fit(self, dataset, params=None):
+                model = super().fit(dataset, params)
+                sc.setJobGroup(group, group)
+                return model
+
+        monkeypatch.setattr(embed, "Word2Vec", Word2Vec)
+        t = spark.createDataFrame(
+            pd.DataFrame({"tid": [1, 2], "a": ["tarantino drama 1994", "shyamalan thriller 1999"]})
+        )
+        s = spark.createDataFrame(
+            pd.DataFrame({"sid": [1, 2], "text": ["tarantino drama film", "shyamalan thriller"]})
+        )
+        cfg = TDMatchConfig(num_walks=2, walk_length=4, vector_size=8, k=2, bucket_numeric=True)
+        try:
+            res = run_tdmatch(spark, TextCorpus("s", s, "sid", "text"), TableCorpus("t", t, "tid", ["a"]), config=cfg)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
+        top = {(r["query"], r["target"]) for r in res.matches.where("rank = 1").collect()}
+        assert top == {("1", "1"), ("2", "2")}
+        assert res.embeddings.count() == res.graph.num_nodes()

@@ -9,8 +9,7 @@ from repro.core.graph import (
     TableCorpus,
     TextCorpus,
     build_graph,
-    canonical_edges,
-    column_nodes,
+    canonical_rows,
     data_node_id,
     pandas_frame,
     term_of,
@@ -165,10 +164,14 @@ class TestColumnNodes:
         )
         return TableCorpus("movies", df, "mid", ["title", "rate"])
 
+    @staticmethod
+    def columns(g):
+        return [tuple(r) for r in g.node_rows.itertuples(index=False) if r.type == G.COLUMN]
+
     def test_one_node_per_attribute(self, spark, table):
-        out = column_nodes(spark, table)
-        assert out.schema.simpleString() == "struct<id:string,type:string,corpus:string>"
-        assert [tuple(r) for r in out.collect()] == [
+        g = build_graph(spark, table, table, max_n=1, auto_order=False)
+        assert g.nodes.schema.simpleString() == "struct<id:string,type:string,corpus:string>"
+        assert self.columns(g) == [
             ("col::movies::title", G.COLUMN, "movies"),
             ("col::movies::rate", G.COLUMN, "movies"),
         ]
@@ -183,9 +186,14 @@ class TestColumnNodes:
         assert cols == {"col::movies::title", "col::movies::rate"}
 
     def test_no_attributes(self, spark, table):
-        out = column_nodes(spark, TableCorpus("movies", table.df, "mid", []))
-        assert out.schema.simpleString() == "struct<id:string,type:string,corpus:string>"
-        assert out.count() == 0
+        text = TextCorpus(
+            "reviews", spark.createDataFrame(pd.DataFrame({"rid": [1], "text": ["heat"]})),
+            "rid", "text",
+        )
+        g = build_graph(spark, TableCorpus("movies", table.df, "mid", []), text, max_n=1, auto_order=False)
+        assert g.nodes.schema.simpleString() == "struct<id:string,type:string,corpus:string>"
+        assert self.columns(g) == []
+        assert sorted(g.node_rows["id"]) == ["movies::1", "movies::2", "reviews::1"]
 
     def test_plan_has_no_rdd(self, spark, table):
         listed = spark.createDataFrame(
@@ -193,7 +201,8 @@ class TestColumnNodes:
             "id string, type string, corpus string",
         )
         assert _scans_rdd(listed)  # the check sees a list-built frame
-        assert not _scans_rdd(column_nodes(spark, table))
+        g = build_graph(spark, table, table, max_n=1, auto_order=False)
+        assert not _scans_rdd(g.nodes) and not _scans_rdd(g.edges)
 
 
 class TestPandasFrame:
@@ -212,24 +221,29 @@ class TestPandasFrame:
 
 
 class TestTermTableEdgeCases:
-    SCHEMA = "struct<doc:string,attr:string,term:string>"
+    """``tokenize_corpus``: document ids and term rows of odd corpora."""
+
+    COLUMNS = ["doc", "attr", "term"]
 
     def test_empty_corpus(self, spark):
         empty = pandas_frame(spark, pd.DataFrame(columns=["id", "a", "b"]), "id long, a string, b string")
         for corpus in (TextCorpus("c", empty, "id", "a"), TableCorpus("c", empty, "id", ["a", "b"])):
-            out = G.term_table(corpus, max_n=2, do_stem=True)
-            assert out.schema.simpleString() == self.SCHEMA
-            assert out.count() == 0
-            assert not _scans_rdd(out)
+            docs, out = G.tokenize_corpus(corpus, max_n=2, do_stem=True)
+            assert list(out.columns) == self.COLUMNS
+            assert len(out) == 0 and len(docs) == 0
+            g = build_graph(spark, corpus, corpus, max_n=2)
+            assert g.num_nodes() == len(getattr(corpus, "attr_cols", []))  # column nodes only
+            assert not _scans_rdd(g.edges)
 
     def test_null_and_stopword_documents(self, spark):
         df = spark.createDataFrame(
             pd.DataFrame({"id": [1, 2, 3], "text": [None, "the and of it", "heat wave"]})
         )
         text = TextCorpus("c", df, "id", "text")
-        out = G.term_table(text, max_n=1, do_stem=False)
-        assert out.schema.simpleString() == self.SCHEMA
-        assert sorted(tuple(r) for r in out.collect()) == [("c::3", None, "heat"), ("c::3", None, "wave")]
+        docs, out = G.tokenize_corpus(text, max_n=1, do_stem=False)
+        assert list(out.columns) == self.COLUMNS
+        assert sorted(map(tuple, out.itertuples(index=False))) == [("c::3", None, "heat"), ("c::3", None, "wave")]
+        assert sorted(docs) == ["c::1", "c::2", "c::3"]
         table = TableCorpus(
             "t", spark.createDataFrame(pd.DataFrame({"tid": [1], "a": ["heat"]})), "tid", ["a"]
         )
@@ -244,8 +258,9 @@ class TestTermTableEdgeCases:
         df = spark.createDataFrame(
             pd.DataFrame({"id": [1, 2], "a": ["heat", None], "b": [None, "wave"]})
         )
-        out = G.term_table(TableCorpus("t", df, "id", ["a", "b"]), max_n=2, do_stem=False)
-        assert sorted(tuple(r) for r in out.collect()) == [("t::1", "a", "heat"), ("t::2", "b", "wave")]
+        docs, out = G.tokenize_corpus(TableCorpus("t", df, "id", ["a", "b"]), max_n=2, do_stem=False)
+        assert sorted(map(tuple, out.itertuples(index=False))) == [("t::1", "a", "heat"), ("t::2", "b", "wave")]
+        assert list(docs) == ["t::1", "t::2"]
 
 
 class TestStructuredCorpus:
@@ -348,14 +363,194 @@ class TestGraphOps:
         g2 = g1.without_nodes(drop)
         assert g2.nodes.where(F.col("type") == G.COLUMN).count() == 0
 
-    def test_canonical_edges_dedup(self, spark):
-        df = spark.createDataFrame(
-            pd.DataFrame({"src": ["b", "a", "a"], "dst": ["a", "b", "a"]})
-        )
-        out = canonical_edges(df).collect()
-        assert len(out) == 1 and out[0]["src"] == "a" and out[0]["dst"] == "b"
+    def test_canonical_edges_dedup(self):
+        out = canonical_rows(["b", "a", "a"], ["a", "b", "a"])
+        assert len(out) == 1 and out["src"][0] == "a" and out["dst"][0] == "b"
 
     def test_term_roundtrip(self):
         assert term_of(data_node_id("abc_def")) == "abc_def"
         with pytest.raises(ValueError):
             term_of("movies::1")
+
+
+def _frame(spark, rows: dict, schema: str):
+    cols = [c.split()[0] for c in schema.split(", ")]
+    return pandas_frame(spark, pd.DataFrame(rows, columns=cols), schema)
+
+
+@pytest.fixture(scope="module")
+def edge_corpora(spark):
+    """Pairs of corpora that exercise the corners of Algorithm 1's input."""
+    heat = TableCorpus(
+        "t", _frame(spark, {"tid": [1, 2], "a": ["heat wave", "cold front"]}, "tid long, a string"),
+        "tid", ["a"],
+    )
+    text = TextCorpus(
+        "s", _frame(spark, {"sid": [1], "text": ["heat wave"]}, "sid long, text string"), "sid", "text"
+    )
+    texts = {"sid": [1, 2, 3, 4], "text": ["heat", "", None, "front wave storm"]}
+    nulls = {"id": [1, 2], "a": [None, None], "b": [None, None]}
+    # parent ids are doubles, as from a nullable pandas column; 9.0 names no concept
+    concepts = {
+        "cid": [1, 2, 3, 4],
+        "label": ["audit plan", "risk audit", "risk plan", "plan"],
+        "parent": [None, 1.0, 2.0, 9.0],
+    }
+    return {
+        "empty_null_text": (
+            heat, TextCorpus("s", _frame(spark, texts, "sid long, text string"), "sid", "text")
+        ),
+        "all_null_table": (
+            TableCorpus("n", _frame(spark, nulls, "id long, a string, b string"), "id", ["a", "b"]),
+            text,
+        ),
+        "no_attr_cols": (
+            TableCorpus("n", _frame(spark, {"id": [1, 2], "a": ["heat", "wave"]}, "id long, a string"), "id", []),
+            text,
+        ),
+        "duplicate_ids": (
+            TableCorpus(
+                "t", _frame(spark, {"tid": [1, 1, 2], "a": ["heat wave", "cold", "heat"]}, "tid long, a string"),
+                "tid", ["a"],
+            ),
+            TextCorpus(
+                "s", _frame(spark, {"sid": [7, 7], "text": ["heat front", "cold"]}, "sid long, text string"),
+                "sid", "text",
+            ),
+        ),
+        "structured_float_parents": (
+            StructuredTextCorpus(
+                "x", _frame(spark, concepts, "cid long, label string, parent double"),
+                "cid", "label", "parent",
+            ),
+            TextCorpus(
+                "s", _frame(spark, {"sid": [1], "text": ["risk audit plan review"]}, "sid long, text string"),
+                "sid", "text",
+            ),
+        ),
+        "empty_corpus": (heat, TextCorpus("s", _frame(spark, {}, "sid long, text string"), "sid", "text")),
+        "empty_table": (TableCorpus("e", _frame(spark, {}, "id long, a string"), "id", ["a"]), text),
+    }
+
+
+# (case, filter_second) -> (term corpus, {"type:corpus": node ids}, edges as
+# "src-dst"): the sorted rows of build_graph(max_n=2, do_stem=False)
+_HEAT_COLD = "d::cold d::cold_front d::front d::heat d::heat_wave d::wave"
+_HEAT_COLD_EDGES = (
+    "col::t::a-d::cold col::t::a-d::cold_front col::t::a-d::front col::t::a-d::heat "
+    "col::t::a-d::heat_wave col::t::a-d::wave d::cold-t::2 d::cold_front-t::2"
+)
+_STRUCTURED_EDGES = (
+    "d::audit-s::1 d::audit-x::1 d::audit-x::2 d::audit_plan-s::1 d::audit_plan-x::1 "
+    "d::plan-s::1 d::plan-x::1 d::plan-x::3 d::plan-x::4"
+)
+_STRUCTURED_TAIL = (
+    "d::risk-s::1 d::risk-x::2 d::risk-x::3 d::risk_audit-s::1 d::risk_audit-x::2 "
+    "d::risk_plan-x::3 x::1-x::2 x::2-x::3"
+)
+EDGE_CASE_GRAPHS = {
+    ("empty_null_text", True): (
+        "t",
+        {"column:t": "col::t::a", "data:": _HEAT_COLD, "text:s": "s::1 s::2 s::3 s::4", "tuple:t": "t::1 t::2"},
+        f"{_HEAT_COLD_EDGES} d::front-s::4 d::front-t::2 d::heat-s::1 d::heat-t::1 "
+        "d::heat_wave-t::1 d::wave-s::4 d::wave-t::1",
+    ),
+    ("empty_null_text", False): (
+        "t",
+        {
+            "column:t": "col::t::a",
+            "data:": f"{_HEAT_COLD} d::front_wave d::storm d::wave_storm",
+            "text:s": "s::1 s::2 s::3 s::4",
+            "tuple:t": "t::1 t::2",
+        },
+        f"{_HEAT_COLD_EDGES} d::front-s::4 d::front-t::2 d::front_wave-s::4 d::heat-s::1 d::heat-t::1 "
+        "d::heat_wave-t::1 d::storm-s::4 d::wave-s::4 d::wave-t::1 d::wave_storm-s::4",
+    ),
+    ("all_null_table", True): (
+        "n", {"column:n": "col::n::a col::n::b", "text:s": "s::1", "tuple:n": "n::1 n::2"}, ""
+    ),
+    ("all_null_table", False): (
+        "n",
+        {
+            "column:n": "col::n::a col::n::b",
+            "data:": "d::heat d::heat_wave d::wave",
+            "text:s": "s::1",
+            "tuple:n": "n::1 n::2",
+        },
+        "d::heat-s::1 d::heat_wave-s::1 d::wave-s::1",
+    ),
+    ("no_attr_cols", True): ("n", {"text:s": "s::1", "tuple:n": "n::1 n::2"}, ""),
+    ("no_attr_cols", False): (
+        "n",
+        {"data:": "d::heat d::heat_wave d::wave", "text:s": "s::1", "tuple:n": "n::1 n::2"},
+        "d::heat-s::1 d::heat_wave-s::1 d::wave-s::1",
+    ),
+    ("duplicate_ids", True): (
+        "t",
+        {"column:t": "col::t::a", "data:": "d::cold d::heat d::heat_wave d::wave", "text:s": "s::7", "tuple:t": "t::1 t::2"},
+        "col::t::a-d::cold col::t::a-d::heat col::t::a-d::heat_wave col::t::a-d::wave d::cold-s::7 "
+        "d::cold-t::1 d::heat-s::7 d::heat-t::1 d::heat-t::2 d::heat_wave-t::1 d::wave-t::1",
+    ),
+    ("duplicate_ids", False): (
+        "t",
+        {
+            "column:t": "col::t::a",
+            "data:": "d::cold d::front d::heat d::heat_front d::heat_wave d::wave",
+            "text:s": "s::7",
+            "tuple:t": "t::1 t::2",
+        },
+        "col::t::a-d::cold col::t::a-d::heat col::t::a-d::heat_wave col::t::a-d::wave d::cold-s::7 "
+        "d::cold-t::1 d::front-s::7 d::heat-s::7 d::heat-t::1 d::heat-t::2 d::heat_front-s::7 "
+        "d::heat_wave-t::1 d::wave-t::1",
+    ),
+    ("structured_float_parents", True): (
+        "x",
+        {
+            "concept:x": "x::1 x::2 x::3 x::4",
+            "data:": "d::audit d::audit_plan d::plan d::risk d::risk_audit d::risk_plan",
+            "text:s": "s::1",
+        },
+        f"{_STRUCTURED_EDGES} {_STRUCTURED_TAIL}",
+    ),
+    ("structured_float_parents", False): (
+        "x",
+        {
+            "concept:x": "x::1 x::2 x::3 x::4",
+            "data:": "d::audit d::audit_plan d::plan d::plan_review d::review d::risk d::risk_audit d::risk_plan",
+            "text:s": "s::1",
+        },
+        f"{_STRUCTURED_EDGES} d::plan_review-s::1 d::review-s::1 {_STRUCTURED_TAIL}",
+    ),
+    ("empty_corpus", True): ("s", {"column:t": "col::t::a", "tuple:t": "t::1 t::2"}, ""),
+    ("empty_corpus", False): (
+        "s",
+        {"column:t": "col::t::a", "data:": _HEAT_COLD, "tuple:t": "t::1 t::2"},
+        f"{_HEAT_COLD_EDGES} d::front-t::2 d::heat-t::1 d::heat_wave-t::1 d::wave-t::1",
+    ),
+    ("empty_table", True): ("e", {"column:e": "col::e::a", "text:s": "s::1"}, ""),
+    ("empty_table", False): (
+        "e",
+        {"column:e": "col::e::a", "data:": "d::heat d::heat_wave d::wave", "text:s": "s::1"},
+        "d::heat-s::1 d::heat_wave-s::1 d::wave-s::1",
+    ),
+}
+
+
+class TestBuildEdgeCases:
+    """Empty, null and repeated inputs: the exact rows of the built graph."""
+
+    @pytest.mark.parametrize("case,filter_second", sorted(EDGE_CASE_GRAPHS))
+    def test_rows(self, spark, edge_corpora, case, filter_second):
+        first, second = edge_corpora[case]
+        g = build_graph(spark, first, second, max_n=2, do_stem=False, filter_second=filter_second)
+        term_corpus, nodes, edges = EDGE_CASE_GRAPHS[case, filter_second]
+        assert g.term_corpus == term_corpus
+        assert sorted(map(tuple, g.node_rows.itertuples(index=False))) == sorted(
+            (i, *key.split(":")) for key, ids in nodes.items() for i in ids.split()
+        )
+        assert sorted(map(tuple, g.edge_rows.itertuples(index=False))) == sorted(
+            tuple(e.split("-")) for e in edges.split()
+        )
+        # the same rows reach Spark consumers
+        assert sorted(map(tuple, g.nodes.collect())) == sorted(map(tuple, g.node_rows.itertuples(index=False)))
+        assert g.edges.count() == len(g.edge_rows)

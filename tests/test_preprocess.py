@@ -135,11 +135,11 @@ class TestIsNumeric:
 
 
 class TestExplodeTerms:
-    """``graph.term_table``: the one Spark tokenization pass per corpus."""
+    """``graph.tokenize_corpus``: the one tokenization pass per corpus."""
 
     def test_spark_matches_python(self, spark):
         import pandas as pd
-        from repro.core.graph import TableCorpus, TextCorpus, term_table
+        from repro.core.graph import TableCorpus, TextCorpus, tokenize_corpus
 
         pdf = pd.DataFrame(
             {"id": [1, 2], "a": ["The Sixth Sense", "Pulp Fiction"], "b": ["Willis", None]}
@@ -147,7 +147,7 @@ class TestExplodeTerms:
         df = spark.createDataFrame(pdf)
 
         def rows(corpus):
-            return {tuple(r) for r in term_table(corpus, max_n=2, do_stem=True).collect()}
+            return set(tokenize_corpus(corpus, max_n=2, do_stem=True)[1].itertuples(index=False, name=None))
 
         assert rows(TextCorpus("c", df, "id", "a")) == {
             (f"c::{r.id}", None, t) for r in pdf.itertuples() for t in pp.terms(r.a, max_n=2)
@@ -163,13 +163,14 @@ class TestExplodeTerms:
     def test_oracle_unigram_counts(self, spark):
         """Cross-check term-table counts against DuckDB string ops."""
         import pandas as pd
-        from repro.core.graph import TextCorpus, term_table
+        from repro.core.graph import TextCorpus, pandas_frame, tokenize_corpus
         from repro.oracle import assert_equivalent
 
         pdf = pd.DataFrame({"id": [1, 2, 3], "text": ["alpha beta", "beta gamma", "alpha alpha"]})
         df = spark.createDataFrame(pdf)
+        rows = tokenize_corpus(TextCorpus("c", df, "id", "text"), max_n=1, do_stem=False)[1]
         got = (
-            term_table(TextCorpus("c", df, "id", "text"), max_n=1, do_stem=False)
+            pandas_frame(spark, rows, "doc string, attr string, term string")
             .groupBy("term")
             .count()
             .withColumnRenamed("count", "n")
