@@ -33,7 +33,7 @@ def run(spark: SparkSession, *, scale: float = 0.4, seed: int = 13) -> pd.DataFr
 
     def cfg(expand: bool) -> TDMatchConfig:
         # text-oriented task: the paper uses window 15 (CBOW); we keep the
-        # window and use Spark ML's skip-gram (DESIGN.md §4)
+        # window and train skip-gram (DESIGN.md §4)
         return TDMatchConfig(
             num_walks=N_WALKS, walk_length=WALK_LEN, vector_size=VEC_SIZE,
             window=15, k=kmax, seed=0, expand=expand,

@@ -24,12 +24,11 @@ from repro.baselines.features import PairFeaturizer
 from repro.baselines.matchers import lbe_match
 from repro.baselines.pretrained import background_model, doc_embeddings
 from repro.baselines.rank import _training_pairs
-from repro.core.embed import train_embeddings, train_token_embeddings
+from repro.core.embed import train_token_embeddings
 from repro.core.graph import build_graph, filter_to_term_corpus
 from repro.core.match import top_k_matches
 from repro.core.merge import merge_synonyms
-from repro.core.pipeline import match_documents
-from repro.core.walks import generate_walks
+from repro.core.pipeline import TDMatchConfig, graph_vectors, match_documents
 from repro.datasets import audit, claims, corona
 from repro.kb.synth_kb import prepare_synonyms
 
@@ -84,14 +83,15 @@ def _time_sbe(spark, qc, tc) -> Dict[str, float]:
 
 
 def _time_wrw(spark, qc, tc, synonyms, *, window: int) -> Dict[str, float]:
-    """W-RW train/test times; the test step is run_tdmatch's own top-k."""
+    """W-RW train/test times: run_tdmatch's own steps, the walks and the
+    skip-gram kernel on the graph's integer index, then its top-k."""
     t0 = time.time()
     g = build_graph(spark, qc, tc, filter_second=False)
     if synonyms is not None:
         g, _ = merge_synonyms(g, synonyms)
     g = filter_to_term_corpus(g)
-    walks = generate_walks(g, num_walks=N_WALKS, walk_length=WALK_LEN, seed=0)
-    vectors = train_embeddings(walks, vector_size=VEC_SIZE, window=window, seed=0).toPandas()
+    cfg = TDMatchConfig(num_walks=N_WALKS, walk_length=WALK_LEN, vector_size=VEC_SIZE, window=window)
+    vectors = graph_vectors(g, cfg)
     train = time.time() - t0
 
     t0 = time.time()

@@ -1,7 +1,7 @@
 """D2VEC baseline: Doc2Vec-DBOW substitute (paper uses gensim Doc2Vec).
 
 DBOW learns a document vector that predicts the document's words. With only
-Spark ML's skip-gram Word2Vec available, we reproduce the objective by
+a skip-gram Word2Vec trainer (``core.embed``), we reproduce the objective by
 injecting the document-id token into the document's token stream every
 ``window`` positions: skip-gram then trains the id token against all its
 word contexts — the same "doc vector predicts words" gradient. The document

@@ -15,31 +15,28 @@ expansion itself (``"added"``, the default used in our pipelines).
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from .graph import DATA, DATA_PREFIX, Graph, canonical_rows
+from .graph import DATA, DATA_PREFIX, KB, Graph, canonical_rows, kb_rows
 
 
 def expand_graph(
     graph: Graph,
-    kb_edges: DataFrame,
+    kb_edges: KB,
     *,
     sink_scope: str = "added",
 ) -> Graph:
     """Algorithm 2: expand with KB connections, then remove sink nodes.
 
     ``kb_edges`` is a DataFrame(subject, object) of related *terms* (already
-    pre-processed to match the graph's term space). Connections are fetched
-    for every data node matching either side. The KB is collected once; the
-    rest runs on the graph's driver rows.
+    pre-processed to match the graph's term space), or its rows as
+    :func:`~repro.core.graph.kb_rows` collected them. Connections are
+    fetched for every data node matching either side. A DataFrame is
+    collected once; the rest runs on the graph's driver rows.
     """
     if sink_scope not in ("added", "all", "none"):
         raise ValueError(f"bad sink_scope {sink_scope!r}")
 
-    kb = kb_edges.select(
-        *[F.col(c).cast("string") for c in ("subject", "object")]
-    ).toPandas().dropna()
+    kb = kb_rows(kb_edges).dropna()
     kb = kb[kb["subject"] != kb["object"]]
     # symmetric: a data node matching either endpoint pulls in the relation
     kb = pd.concat([kb, kb.set_axis(["object", "subject"], axis=1)])

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 import pandas as pd
@@ -437,7 +437,19 @@ def build_graph(
     return Graph(spark, nodes, canonical_rows(edges["src"], edges["dst"]), first.name)
 
 
-def filter_to_term_corpus(graph: Graph, *, kb: Optional[DataFrame] = None) -> Graph:
+KB = Union[DataFrame, pd.DataFrame]
+
+
+def kb_rows(kb: KB) -> pd.DataFrame:
+    """pandas(subject, object) of a KB edge list as strings: a DataFrame is
+    cast and collected in one action; a pandas frame, rows already
+    collected by this function, is returned as it is."""
+    if isinstance(kb, pd.DataFrame):
+        return kb
+    return kb.select(*[F.col(c).cast("string") for c in ("subject", "object")]).toPandas()
+
+
+def filter_to_term_corpus(graph: Graph, *, kb: Optional[KB] = None) -> Graph:
     """Graph-level §II-B filtering, merge- and expansion-aware.
 
     Drops data nodes that have no edge to any metadata node of the
@@ -445,7 +457,8 @@ def filter_to_term_corpus(graph: Graph, *, kb: Optional[DataFrame] = None) -> Gr
     ``build_graph(filter_second=True)``, but applied *after* node merging so
     a second-corpus variant fused onto a first-corpus term survives.
 
-    When ``kb`` is given (expansion planned), second-corpus-only terms that
+    When ``kb`` is given (expansion planned; a KB DataFrame or its
+    :func:`kb_rows`), second-corpus-only terms that
     the KB relates to a surviving term are kept as well: the expansion step
     will connect them (this is how the review-side "Comedy" of the paper's
     Figure 4/5 stays available for the style(Tarantino, Comedy) bridge).
@@ -459,7 +472,7 @@ def filter_to_term_corpus(graph: Graph, *, kb: Optional[DataFrame] = None) -> Gr
     keep = pd.concat([dst[src.isin(first_meta)], src[dst.isin(first_meta)]])
     if kb is not None:
         kept_terms = keep[keep.str.startswith(DATA_PREFIX)].str[len(DATA_PREFIX) :]
-        kbe = kb.select(*[F.col(c).cast("string") for c in ("subject", "object")]).toPandas()
+        kbe = kb_rows(kb)
         subject, obj = kbe["subject"], kbe["object"]
         bridged = pd.concat([subject[obj.isin(kept_terms)], obj[subject.isin(kept_terms)]])
         keep = pd.concat([keep, DATA_PREFIX + bridged.dropna()])

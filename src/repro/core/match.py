@@ -8,7 +8,7 @@ Two implementations:
 * :func:`top_k_rows` — production path, on the driver: L2-normalize both
   sides (a few thousand vectors here) and rank with one dense matmul and a
   stable sort (DESIGN.md layering note). ``run_tdmatch`` calls it on the
-  Word2Vec vectors it collected; :func:`top_k_matches` collects two
+  skip-gram vectors it trained; :func:`top_k_matches` collects two
   embedding DataFrames in one action and calls it.
 * :func:`top_k_matches_join` — pure Spark-SQL formulation (explode vector
   dimensions, join, aggregate, window rank). Quadratic shuffle, used in

@@ -22,12 +22,12 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from .compress import msp_compress, ssum_like_compress
-from .embed import train_embeddings
+from .embed import skipgram, vector_rows
 from .expand import expand_graph
-from .graph import DOC_TYPES, Graph, build_graph, filter_to_term_corpus, pandas_frame
+from .graph import DOC_TYPES, Graph, build_graph, filter_to_term_corpus, kb_rows, pandas_frame
 from .match import matches_frame, top_k_rows
 from .merge import merge_numeric_buckets, merge_synonyms
-from .walks import generate_walks
+from .walks import walk_corpus
 
 
 @dataclass
@@ -68,6 +68,21 @@ def strip_prefix(col, corpus_name: str):
     return F.expr(f"substring({col}, {len(corpus_name) + 3})")
 
 
+def graph_vectors(graph: Graph, cfg: TDMatchConfig) -> pd.DataFrame:
+    """pandas(node, vector) of every node of ``graph`` (§IV-A): the
+    skip-gram vectors of its random walks, both computed on the driver
+    from the graph's integer index."""
+    index = graph.index()
+    tokens, offsets = walk_corpus(
+        index, num_walks=cfg.num_walks, walk_length=cfg.walk_length, seed=cfg.seed
+    )
+    ids, vectors = skipgram(
+        tokens, offsets, vector_size=cfg.vector_size, window=cfg.window, seed=cfg.seed,
+        max_iter=cfg.w2v_iter,
+    )
+    return vector_rows(index.ids[ids], vectors, "node")
+
+
 def match_documents(
     graph: Graph, vectors: pd.DataFrame, query_corpus, target_corpus, *, k: int
 ) -> pd.DataFrame:
@@ -101,9 +116,16 @@ def run_tdmatch(
 
     Graph construction order (which corpus defines the term space, §II-B) is
     independent of query direction and handled inside ``build_graph``.
+
+    The corpus collects of ``build_graph``, and one collect each of the
+    synonyms and (with expansion) the KB, are its only Spark jobs.
     """
     cfg = config
     sizes: Dict[str, Tuple[int, int]] = {}
+    if cfg.expand:
+        if kb is None:
+            raise ValueError("expand=True requires a KB edge DataFrame")
+        kb = kb_rows(kb)  # one collect, for the filter and the expansion
 
     # Build unfiltered, merge variants first, then filter (§II-B): a merge
     # can fuse a second-corpus variant onto a first-corpus term, and the
@@ -111,8 +133,8 @@ def run_tdmatch(
     # present, filtering also keeps second-corpus terms the KB can bridge
     # (see filter_to_term_corpus).
     # build_graph builds the graph on the driver from one collect per corpus;
-    # the stages after it rewrite those rows with no Spark job, and a
-    # stage's input is dropped as soon as it returns.
+    # the stages after it rewrite those rows, and a stage's input is dropped
+    # as soon as it returns.
     graph = build_graph(
         spark,
         query_corpus,
@@ -131,8 +153,6 @@ def run_tdmatch(
     sizes["original"] = (graph.num_nodes(), graph.num_edges())
 
     if cfg.expand:
-        if kb is None:
-            raise ValueError("expand=True requires a KB edge DataFrame")
         graph = expand_graph(graph, kb, sink_scope=cfg.sink_scope)
         sizes["expanded"] = (graph.num_nodes(), graph.num_edges())
 
@@ -146,17 +166,7 @@ def run_tdmatch(
             raise ValueError(f"unknown compression {kind!r}")
         sizes["compressed"] = (graph.num_nodes(), graph.num_edges())
 
-    walks = generate_walks(
-        graph, num_walks=cfg.num_walks, walk_length=cfg.walk_length, seed=cfg.seed
-    )
-    # the one Spark job after Word2Vec's own: collect its vectors
-    vectors = train_embeddings(
-        walks,
-        vector_size=cfg.vector_size,
-        window=cfg.window,
-        seed=cfg.seed,
-        max_iter=cfg.w2v_iter,
-    ).toPandas()
+    vectors = graph_vectors(graph, cfg)
     ranked = match_documents(graph, vectors, query_corpus, target_corpus, k=cfg.k)
     return TDMatchResult(
         matches=matches_frame(spark, ranked),

@@ -2,22 +2,25 @@
 
 ``num_walks`` walks of length ``walk_length`` start from every node; at each
 step the next node is a uniformly random neighbour. Each walk becomes a
-"sentence" of node ids for Word2Vec.
+"sentence" of nodes for Word2Vec.
 
 Every walk is a function of its own generator,
 ``np.random.default_rng(_walk_seed(seed, start, walk_idx))``, driven by
-:func:`walk_from`. :func:`generate_walks` computes the same walks on the
-driver over the graph's :class:`~repro.core.graph.GraphIndex`, all walks in
+:func:`walk_from`. :func:`walk_pass` computes the same walks on the driver
+over the graph's :class:`~repro.core.graph.GraphIndex`, all walks in
 lock-step with NumPy: :func:`default_rng_raw` replays every generator's
 PCG64 stream at once, and each step draws a neighbour from it with Lemire's
 method, as ``Generator.integers`` does (DESIGN.md layering note). The walks
 are emitted pass by pass (DeepWalk, Perozzi et al. KDD'14), each pass in
 node-id order, so their order depends on nothing but the graph and seed.
+:func:`walk_corpus` gives them as node indices, the form the skip-gram
+trainer (:func:`repro.core.embed.skipgram`) takes; :func:`generate_walks`
+is its DataFrame adapter, one walk of node ids per row.
 """
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 import pyarrow as pa
@@ -171,25 +174,35 @@ def walk_pass(index: GraphIndex, *, walk_idx: int, walk_length: int, seed: int =
     return walks, lengths
 
 
+def walk_corpus(
+    index: GraphIndex, *, num_walks: int, walk_length: int, seed: int = 0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The walks of ``num_walks`` passes as one corpus of node indices,
+    ``(tokens, offsets)``: walk ``s`` is ``tokens[offsets[s]:offsets[s + 1]]``
+    (int32 indices into ``index.ids``), ordered by pass, then by start node."""
+    steps, lengths = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int64)]
+    for w in range(num_walks):
+        walks, n = walk_pass(index, walk_idx=w, walk_length=walk_length, seed=seed)
+        steps.append(walks[np.arange(walks.shape[1]) < n[:, None]])
+        lengths.append(n)
+    lengths = np.concatenate(lengths)
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return np.concatenate(steps), offsets
+
+
 def generate_walks(
     graph: Graph, *, num_walks: int, walk_length: int, seed: int = 0
 ) -> DataFrame:
-    """DataFrame(walk: array<string>) of num_walks·|nodes| random walks,
-    ordered by walk index, then by start node id, in one partition.
+    """DataFrame(walk: array<string>) of the num_walks·|nodes| walks of
+    :func:`walk_corpus`, as node ids, in its order, in one partition.
 
     The walks reach Spark as one Arrow table, a local relation whose scan
-    would otherwise be split ``defaultParallelism`` ways; Word2Vec's
-    vocabulary order follows the partitioning of its input, so the
-    partition count is fixed instead.
+    would otherwise be split ``defaultParallelism`` ways; one partition
+    keeps them in corpus order for every consumer.
     """
     index = graph.index()
+    tokens, offsets = walk_corpus(index, num_walks=num_walks, walk_length=walk_length, seed=seed)
     ids = pa.array(index.ids, type=pa.string())
-    chunks = []
-    for w in range(num_walks):
-        walks, lengths = walk_pass(index, walk_idx=w, walk_length=walk_length, seed=seed)
-        offsets = np.zeros(len(lengths) + 1, dtype=np.int32)
-        np.cumsum(lengths, out=offsets[1:])
-        steps = walks[np.arange(walks.shape[1]) < lengths[:, None]]
-        chunks.append(pa.ListArray.from_arrays(pa.array(offsets), ids.take(pa.array(steps))))
-    table = pa.table({"walk": pa.chunked_array(chunks, type=pa.list_(pa.string()))})
-    return graph.spark.createDataFrame(table, "walk array<string>").coalesce(1)
+    walks = pa.ListArray.from_arrays(pa.array(offsets.astype(np.int32)), ids.take(pa.array(tokens)))
+    return graph.spark.createDataFrame(pa.table({"walk": walks}), "walk array<string>").coalesce(1)

@@ -239,35 +239,58 @@ class TestJoinPlans:
             ("taxonomy+text", False): 2 + 3,
         }
 
-    def test_run_tdmatch_collects_the_vectors_once(self, spark, monkeypatch):
-        """After Word2Vec.fit returns, run_tdmatch runs one Spark job: the
-        collect of the vectors. Ranking and the result frames need none."""
-        from repro.core import embed
-        from repro.core.pipeline import TDMatchConfig, run_tdmatch
-
-        sc = spark.sparkContext
-        group = "test_run_tdmatch_collects_the_vectors_once"
-
-        class Word2Vec(embed.Word2Vec):
-            def fit(self, dataset, params=None):
-                model = super().fit(dataset, params)
-                sc.setJobGroup(group, group)
-                return model
-
-        monkeypatch.setattr(embed, "Word2Vec", Word2Vec)
+    @staticmethod
+    def _tdmatch_inputs(spark):
         t = spark.createDataFrame(
             pd.DataFrame({"tid": [1, 2], "a": ["tarantino drama 1994", "shyamalan thriller 1999"]})
         )
         s = spark.createDataFrame(
             pd.DataFrame({"sid": [1, 2], "text": ["tarantino drama film", "shyamalan thriller"]})
         )
-        cfg = TDMatchConfig(num_walks=2, walk_length=4, vector_size=8, k=2, bucket_numeric=True)
+        kb = spark.createDataFrame(pd.DataFrame({"subject": ["drama", "film"], "object": ["film", "movi"]}))
+        syn = spark.createDataFrame(pd.DataFrame({"variant": ["thriller"], "canonical": ["suspens"]}))
+        return TextCorpus("s", s, "sid", "text"), TableCorpus("t", t, "tid", ["a"]), kb, syn
+
+    def test_run_tdmatch_runs_no_job_after_its_collects(self, spark, monkeypatch):
+        """Once the graph is built, merged, filtered and expanded, run_tdmatch
+        runs no Spark job: walks, skip-gram, ranking and the result frames
+        all run on the driver."""
+        from repro.core import pipeline
+
+        sc = spark.sparkContext
+        group = "test_run_tdmatch_runs_no_job_after_its_collects"
+        walk_corpus = pipeline.walk_corpus
+
+        def walk_corpus_in_group(*args, **kwargs):
+            sc.setJobGroup(group, group)
+            return walk_corpus(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "walk_corpus", walk_corpus_in_group)
+        query, target, kb, syn = self._tdmatch_inputs(spark)
+        cfg = pipeline.TDMatchConfig(
+            num_walks=20, walk_length=8, vector_size=16, k=2, expand=True, bucket_numeric=True
+        )
         try:
-            res = run_tdmatch(spark, TextCorpus("s", s, "sid", "text"), TableCorpus("t", t, "tid", ["a"]), config=cfg)
+            res = pipeline.run_tdmatch(spark, query, target, config=cfg, kb=kb, synonyms=syn)
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
         sc._jsc.sc().listenerBus().waitUntilEmpty()
-        assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) == 0
         top = {(r["query"], r["target"]) for r in res.matches.where("rank = 1").collect()}
         assert top == {("1", "1"), ("2", "2")}
         assert res.embeddings.count() == res.graph.num_nodes()
+
+    def test_run_tdmatch_collects_the_kb_once(self, spark):
+        """A run with expansion collects its KB once, for both the filter
+        and the expansion: its Spark jobs are the two corpus collects of
+        build_graph, the synonym collect and the KB collect."""
+        from repro.core.pipeline import TDMatchConfig, run_tdmatch
+
+        query, target, kb, syn = self._tdmatch_inputs(spark)
+        cfg = TDMatchConfig(num_walks=2, walk_length=4, vector_size=8, k=2, expand=True)
+        res, jobs = _jobs_of(
+            spark.sparkContext, "test_run_tdmatch_collects_the_kb_once", run_tdmatch,
+            spark, query, target, config=cfg, kb=kb, synonyms=syn,
+        )
+        assert jobs == 2 + 1 + 1
+        assert res.graph_sizes["expanded"] != res.graph_sizes["original"]

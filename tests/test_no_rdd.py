@@ -16,6 +16,11 @@ Any Python UDF, row-at-a-time ``udf`` included, makes Spark start a pool of
 computes its merge labels there, so the third guard lists every Python UDF
 name (``udf``, ``pandas_udf`` and the Arrow UDF entry points) that the
 pipeline's modules and ``preprocess`` mention.
+
+The package has one Word2Vec trainer, the compiled skip-gram kernel of
+``core/embed.py``. The fourth guard lists every import of a Spark ML
+module: the only one left is the supervised baselines' logistic
+regression (``baselines/rank.py``).
 """
 import ast
 from pathlib import Path
@@ -131,3 +136,43 @@ def test_python_udf_guard_flags_each_form(tmp_path):
     )
     flagged = [1, 2, 4, 5, 6, 7, 8, 9, 10]
     assert name_uses([tmp_path / "m.py"], _PYTHON_UDFS) == [f"m.py:{i}" for i in flagged]
+
+
+def spark_ml_imports(root: Path) -> List[str]:
+    """``file:module`` (file relative to ``root``) of every import of
+    ``pyspark.ml`` or a module under it in ``root``'s Python modules."""
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                mods = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            hits = sorted({m for m in mods if m == "pyspark.ml" or m.startswith("pyspark.ml.")})
+            found += [f"{path.relative_to(root)}:{m}" for m in hits[:1]]
+    return found
+
+
+def test_package_imports_no_spark_ml_but_the_rank_baseline():
+    assert spark_ml_imports(SRC) == [
+        "baselines/rank.py:pyspark.ml.classification",
+        "baselines/rank.py:pyspark.ml.functions",
+    ]
+
+
+def test_spark_ml_guard_flags_each_form(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from pyspark.ml.feature import Word2Vec\n"
+        "import pyspark.ml.feature as mlf\n"
+        "from pyspark import ml\n"
+        "import pyspark.ml\n"
+        "from pyspark.ml import Pipeline\n"
+        "ok = 1\n"
+        "from pyspark.sql import functions\n"
+        "import pyspark.mllib_like\n"
+    )
+    assert [f.split(":")[1] for f in spark_ml_imports(tmp_path)] == [
+        "pyspark.ml.feature", "pyspark.ml.feature", "pyspark.ml", "pyspark.ml", "pyspark.ml",
+    ]

@@ -1,12 +1,17 @@
 """Tests for random walks (Alg. 4), embeddings and graph filtering."""
+import heapq
+import math
+from collections import Counter
+
 import pandas as pd
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core import embed
 from repro.core import walks as W
 
-from repro.core.embed import mean_pool, train_embeddings, train_token_embeddings
+from repro.core.embed import huffman, mean_pool, skipgram, train_embeddings, train_token_embeddings
 from repro.core.graph import (
     Graph,
     GraphIndex,
@@ -16,7 +21,8 @@ from repro.core.graph import (
     data_node_id,
     filter_to_term_corpus,
 )
-from repro.core.walks import generate_walks, walk_from
+from repro.core.pipeline import TDMatchConfig, graph_vectors
+from repro.core.walks import generate_walks, walk_corpus, walk_from
 from tests.helpers import adjacency
 
 
@@ -87,7 +93,7 @@ class TestGenerateWalks:
         assert [w[0] for w in ref] == ids + ids
 
     def test_partitions_fixed(self, g):
-        # not defaultParallelism, which Word2Vec's vocabulary order would follow
+        # not defaultParallelism: one partition keeps the corpus order
         walks = generate_walks(g, num_walks=3, walk_length=4, seed=0)
         assert walks.rdd.getNumPartitions() == 1
 
@@ -186,6 +192,271 @@ class TestEmbeddings:
 
         assert cos("t::1", "s::1") > cos("t::1", "s::2")
         assert cos("t::2", "s::2") > cos("t::2", "s::1")
+
+
+_M64 = 2**64 - 1
+
+
+def _splitmix64(state):
+    state = (state + 0x9E3779B97F4A7C15) & _M64
+    z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return state, z ^ (z >> 31)
+
+
+def _dot8(x, y):
+    """The kernel's dot product: eight float32 partial sums, in its order."""
+    lane = np.zeros(8, dtype=np.float32)
+    full = len(x) - len(x) % 8
+    for i in range(0, full, 8):
+        lane += x[i : i + 8] * y[i : i + 8]
+    lane[: len(x) - full] += x[full:] * y[full:]
+    return ((lane[0] + lane[1]) + (lane[2] + lane[3])) + ((lane[4] + lane[5]) + (lane[6] + lane[7]))
+
+
+def reference_skipgram(sentences, *, vector_size, window, min_count, seed, max_iter, lr=0.025):
+    """Pure-Python skip-gram with hierarchical softmax, operation for
+    operation in float32 as ``_skipgram.c`` computes it -> (ids, vectors)."""
+    counts = Counter(t for s in sentences for t in s)
+    vocab = sorted((w for w, c in counts.items() if c >= min_count), key=lambda w: (-counts[w], w))
+    n = len(vocab)
+    index = {w: i for i, w in enumerate(vocab)}
+    sents = [[index[t] for t in s if t in index] for s in sentences]
+    # word2vec.c's Huffman tree: leaves from the back, merged nodes in order
+    count = [counts[w] for w in vocab] + [10**15] * n
+    parent, binary = [0] * (2 * n), [0] * (2 * n)
+    pos1, pos2 = n - 1, n
+    for a in range(n - 1):
+        low = []
+        for _ in range(2):
+            if pos1 >= 0 and count[pos1] < count[pos2]:
+                low.append(pos1)
+                pos1 -= 1
+            else:
+                low.append(pos2)
+                pos2 += 1
+        count[n + a] = count[low[0]] + count[low[1]]
+        parent[low[0]] = parent[low[1]] = n + a
+        binary[low[1]] = 1
+    codes, points = [], []
+    for a in range(n):
+        path, b = [], a
+        while b != 2 * n - 2:
+            path.append(b)
+            b = parent[b]
+        down = path[::-1]  # from a child of the root to the leaf
+        codes.append([binary[x] for x in down])
+        points.append([x - n for x in [2 * n - 2] + down[:-1]])
+
+    f32 = np.float32
+    state = seed % 2**64
+    syn0 = np.zeros((n, vector_size), dtype=f32)
+    for i in range(n * vector_size):
+        state, z = _splitmix64(state)
+        syn0.flat[i] = (f32(z >> 40) / f32(16777216.0) - f32(0.5)) / f32(vector_size)
+    syn1 = np.zeros_like(syn0)
+    table = []
+    for i in range(1000):
+        e = math.exp((2.0 * i / 1000 - 1.0) * 6)
+        table.append(f32(e / (e + 1.0)))
+
+    pieces = [s[i : i + 1000] for s in sents for i in range(0, len(s), 1000)]
+    train_words = sum(len(s) for s in sents)
+    total = float(max_iter * train_words + 1)
+    for k in range(max_iter):
+        alpha, words, last = lr, 0, 0
+        for sent in pieces:
+            if words - last > 10000:
+                last = words
+                alpha = max(lr * (1.0 - (float(words) + float(k * train_words)) / total), lr * 0.0001)
+            words += len(sent)
+            for pos, word in enumerate(sent):
+                state, z = _splitmix64(state)
+                b = z % window
+                for a in range(b, 2 * window + 1 - b):
+                    ctx = pos - window + a
+                    if a == window or not 0 <= ctx < len(sent):
+                        continue
+                    l1 = syn0[sent[ctx]]
+                    neu1e = np.zeros(vector_size, dtype=f32)
+                    for bit, inner in zip(codes[word], points[word]):
+                        l2 = syn1[inner]
+                        f = _dot8(l1, l2)
+                        if f <= -6 or f >= 6:
+                            continue
+                        f = table[int(float(f + f32(6)) * (1000 // 6 / 2.0))]
+                        g = f32(float(f32(1 - bit) - f) * alpha)
+                        neu1e += g * l2
+                        l2 += g * l1
+                    l1 += neu1e
+    return np.array(vocab, dtype=np.int64), syn0
+
+
+def _corpus(sentences):
+    """(tokens, offsets) of a list of integer sentences."""
+    offsets = np.zeros(len(sentences) + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in sentences], out=offsets[1:])
+    return np.array([t for s in sentences for t in s], dtype=np.int32), offsets
+
+
+def _zipf_sentences(seed, n_sentences, max_len, vocab=15):
+    rng = np.random.default_rng(seed)
+    weights = 1.0 / np.arange(1, vocab + 1)
+    return [
+        rng.choice(vocab, size=int(rng.integers(1, max_len + 1)), p=weights / weights.sum()).tolist()
+        for _ in range(n_sentences)
+    ]
+
+
+class TestSkipgramKernel:
+    @pytest.mark.parametrize(
+        "vector_size, window, max_iter, min_count",
+        [(8, 3, 1, 1), (12, 1, 2, 1), (12, 3, 2, 2), (8, 1, 1, 2)],
+    )
+    def test_equals_reference(self, vector_size, window, max_iter, min_count):
+        sents = _zipf_sentences(vector_size + window, 40, 12)
+        kw = dict(vector_size=vector_size, window=window, min_count=min_count, seed=5, max_iter=max_iter)
+        ids, vecs = skipgram(*_corpus(sents), **kw)
+        want_ids, want = reference_skipgram(sents, **kw)
+        assert ids.tolist() == want_ids.tolist()
+        assert vecs.dtype == np.float32
+        np.testing.assert_array_equal(vecs, want)
+
+    def test_long_sentences_and_rate_decay_equal_reference(self):
+        """Sentences over 1000 tokens are cut into pieces, and the rate
+        decays once more than 10000 words have passed, in both passes."""
+        rng = np.random.default_rng(3)
+        sents = [rng.integers(0, 6, size=n).tolist() for n in (2500, 1200, 3000, 900, 4000)]
+        kw = dict(vector_size=8, window=1, min_count=1, seed=1, max_iter=2)
+        ids, vecs = skipgram(*_corpus(sents), **kw)
+        want_ids, want = reference_skipgram(sents, **kw)
+        assert ids.tolist() == want_ids.tolist()
+        np.testing.assert_array_equal(vecs, want)
+
+    def test_deterministic(self):
+        corpus = _corpus(_zipf_sentences(0, 200, 15, vocab=40))
+        a = skipgram(*corpus, vector_size=16, window=3, seed=9)
+        b = skipgram(*corpus, vector_size=16, window=3, seed=9)
+        assert a[0].tolist() == b[0].tolist()
+        assert a[1].tobytes() == b[1].tobytes()
+        assert skipgram(*corpus, vector_size=16, window=3, seed=10)[1].tobytes() != a[1].tobytes()
+
+    def test_vocabulary_order(self):
+        # counts 7: 3, 2: 3, 5: 1, 9: 2 -> by count descending, then id
+        ids, _ = skipgram(*_corpus([[7, 2, 9], [2, 7, 5], [9, 2, 7]]), vector_size=4)
+        assert ids.tolist() == [2, 7, 9, 5]
+
+    def test_empty_corpus(self):
+        for tokens, offsets in (_corpus([]), _corpus([[], []])):
+            ids, vecs = skipgram(tokens, offsets, vector_size=8)
+            assert ids.tolist() == [] and vecs.shape == (0, 8)
+
+    def test_every_token_under_min_count(self):
+        ids, vecs = skipgram(*_corpus([[0, 1], [2]]), vector_size=8, min_count=2)
+        assert ids.tolist() == [] and vecs.shape == (0, 8)
+
+    def test_one_word_vocabulary(self):
+        """A one-word tree has no inner node: the vector keeps its start."""
+        sents = [[4, 4, 4], [4]]
+        ids, vecs = skipgram(*_corpus(sents), vector_size=8, window=2, seed=3)
+        want_ids, want = reference_skipgram(sents, vector_size=8, window=2, min_count=1, seed=3, max_iter=1)
+        assert ids.tolist() == [4] == want_ids.tolist()
+        np.testing.assert_array_equal(vecs, want)
+
+    def test_sentences_shorter_than_window(self):
+        sents = [[0], [1, 0], [2, 1], [0, 2], [3]]
+        kw = dict(vector_size=12, window=5, min_count=1, seed=2, max_iter=2)
+        ids, vecs = skipgram(*_corpus(sents), **kw)
+        want_ids, want = reference_skipgram(sents, **kw)
+        assert ids.tolist() == want_ids.tolist()
+        np.testing.assert_array_equal(vecs, want)
+        assert np.isfinite(vecs).all()
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            skipgram(*_corpus([[0, 1]]), window=0)
+        with pytest.raises(ValueError):
+            skipgram(np.array([0, -1], dtype=np.int32), np.array([0, 2]))
+        with pytest.raises(ValueError):
+            skipgram(np.array([0, 1], dtype=np.int32), np.array([0, 3]))
+
+
+class TestHuffman:
+    @staticmethod
+    def heapq_cost(counts):
+        """Total weighted code length of a Huffman code (sum of merges)."""
+        heap = [int(c) for c in counts]
+        heapq.heapify(heap)
+        cost = 0
+        while len(heap) > 1:
+            merged = heapq.heappop(heap) + heapq.heappop(heap)
+            cost += merged
+            heapq.heappush(heap, merged)
+        return cost
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 300])
+    def test_optimal_and_prefix_free(self, n):
+        rng = np.random.default_rng(n)
+        counts = np.sort(rng.integers(1, 50, size=n))[::-1]
+        code, point, codelen = huffman(counts)
+        words = ["".join(map(str, code[w, : codelen[w]])) for w in range(n)]
+        assert int((codelen * counts).sum()) == self.heapq_cost(counts)
+        assert len(set(words)) == n
+        for a in words:
+            assert not any(b != a and b.startswith(a) for b in words)
+        for w in range(n):
+            # every step is scored against an inner node; the first, the root
+            assert ((0 <= point[w, : codelen[w]]) & (point[w, : codelen[w]] <= n - 2)).all()
+            assert codelen[w] == 0 or point[w, 0] == n - 2
+
+    def test_equal_counts(self):
+        code, _, codelen = huffman(np.full(8, 5))
+        assert codelen.tolist() == [3] * 8
+
+    def test_rejects_unsorted_counts(self):
+        with pytest.raises(ValueError):
+            huffman(np.array([1, 2]))
+
+
+class TestKernelBuild:
+    def test_flags_keep_vectors_cpu_independent(self):
+        assert "-ffp-contract=off" in embed.CFLAGS
+        assert not any(f.startswith("-march") or f.startswith("-mtune") for f in embed.CFLAGS)
+        assert "-ffast-math" not in embed.CFLAGS and "-Ofast" not in embed.CFLAGS
+
+    def test_missing_compiler_names_cc(self, monkeypatch):
+        monkeypatch.setenv("PATH", "")
+        embed._kernel.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="`cc`"):
+                skipgram(*_corpus([[0, 1]]), vector_size=4)
+        finally:
+            embed._kernel.cache_clear()
+
+
+class TestAdapters:
+    def test_train_embeddings_equals_integer_path(self, g):
+        """The DataFrame adapters train the same vectors as run_tdmatch's
+        integer walks, node for node."""
+        cfg = TDMatchConfig(num_walks=3, walk_length=6, vector_size=12, window=3, seed=4)
+        want = graph_vectors(g, cfg)
+        walks = generate_walks(g, num_walks=3, walk_length=6, seed=4)
+        got = train_embeddings(walks, vector_size=12, window=3, seed=4).toPandas()
+        assert got["node"].tolist() == want["node"].tolist()
+        np.testing.assert_array_equal(np.stack(got["vector"]), np.stack(want["vector"]))
+
+    def test_walk_corpus_equals_generate_walks(self, g):
+        index = g.index()
+        tokens, offsets = walk_corpus(index, num_walks=2, walk_length=5, seed=1)
+        got = [index.ids[tokens[a:b]].tolist() for a, b in zip(offsets, offsets[1:])]
+        assert got == [r["walk"] for r in generate_walks(g, num_walks=2, walk_length=5, seed=1).collect()]
+        assert tokens.dtype == np.int32
+
+    def test_empty_walks(self, spark, g):
+        empty = Graph.from_frames(g.nodes.limit(0), g.edges.limit(0), g.term_corpus)
+        emb = train_embeddings(generate_walks(empty, num_walks=2, walk_length=5, seed=0))
+        assert emb.count() == 0
+        assert emb.schema.simpleString() == "struct<node:string,vector:array<double>>"
 
 
 class TestTokenEmbeddings:
