@@ -6,12 +6,17 @@ softmax for all tasks and keep the paper's window sizes — documented
 deviation (the paper reports graph-embedding alternatives comparable in
 quality, so the training objective is not load-bearing).
 
-:func:`skipgram` is the one trainer: the compiled kernel ``_skipgram.c``
-(word2vec.c's update with Spark ML's hyper-parameters, on one thread, so
-the vectors are a function of the sentences and the seed), built with
-``cc`` on first use in a process and called through ``ctypes`` on integer
-token ids. ``run_tdmatch`` hands it the walks' node indices as they come
-out of :func:`repro.core.walks.walk_corpus`. :func:`train_embeddings` (walk
+:func:`skipgram` is the one trainer: the compiled kernel ``_skipgram.c``,
+word2vec.c's update with Spark ML's hyper-parameters, built with ``cc`` on
+first use in a process and called through ``ctypes`` on integer token ids.
+It trains a fixed number of contiguous sentence shards (four, a constant
+of the kernel, not the core count) on one thread each, each on its own
+copy of the weights, in rounds of about 256 words per shard; after every
+round each changed row becomes the global row plus the sum of the shards'
+changes to it, in shard order, and every copy takes the merged row. So the
+vectors are a function of the sentences and the seed, on any number of
+cores. ``run_tdmatch`` hands it the walks' node indices as they come out
+of :func:`repro.core.walks.walk_corpus`. :func:`train_embeddings` (walk
 sentences) and :func:`train_token_embeddings` (token sentences, for the
 baselines) are DataFrame adapters: one collect of the sentences, the same
 trainer, the vectors as a local relation.
@@ -35,9 +40,11 @@ from .graph import pandas_frame
 
 SOURCE = Path(__file__).with_name("_skipgram.c")
 # no -march=native or -ffast-math: the vectors must not depend on the CPU
-CFLAGS = ("-O3", "-ffp-contract=off", "-shared", "-fPIC")
+CFLAGS = ("-O3", "-ffp-contract=off", "-pthread", "-shared", "-fPIC")
 MAX_CODE_LENGTH = 40
 LEARNING_RATE = 0.025  # Spark ML's default stepSize
+# sg_train's failure codes
+TRAIN_ERRORS = {-1: "ran out of memory", -2: "could not start its threads"}
 
 _i8, _i32, _i64, _f32 = (
     np.ctypeslib.ndpointer(t, flags="C_CONTIGUOUS")
@@ -137,7 +144,7 @@ def skipgram(
         window, max_iter, LEARNING_RATE, seed % 2**64, vectors, syn1,
     )
     if rc != 0:
-        raise MemoryError("the skip-gram kernel ran out of memory")
+        raise RuntimeError(f"the skip-gram kernel {TRAIN_ERRORS.get(rc, f'failed with code {rc}')}")
     return ids, vectors
 
 

@@ -14,6 +14,7 @@ The result carries the ranked matches plus the graph-size trail
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -59,8 +60,14 @@ class TDMatchResult:
     # stage -> (#nodes, #edges): "original", plus "expanded" and
     # "compressed" when those stages run
     graph_sizes: Dict[str, Tuple[int, int]]
-    embeddings: DataFrame  # (node, vector) for every graph node, a local relation
+    vectors: pd.DataFrame  # pandas(node, vector) for every graph node
     graph: Graph
+
+    @functools.cached_property
+    def embeddings(self) -> DataFrame:
+        """``vectors`` as DataFrame(node, vector), a local relation built on
+        first access: a run does not pay for it."""
+        return pandas_frame(self.graph.spark, self.vectors, "node string, vector array<double>")
 
 
 def strip_prefix(col, corpus_name: str):
@@ -171,6 +178,6 @@ def run_tdmatch(
     return TDMatchResult(
         matches=matches_frame(spark, ranked),
         graph_sizes=sizes,
-        embeddings=pandas_frame(spark, vectors, "node string, vector array<double>"),
+        vectors=vectors,
         graph=graph,
     )

@@ -278,7 +278,8 @@ class TestJoinPlans:
         assert len(sc.statusTracker().getJobIdsForGroup(group)) == 0
         top = {(r["query"], r["target"]) for r in res.matches.where("rank = 1").collect()}
         assert top == {("1", "1"), ("2", "2")}
-        assert res.embeddings.count() == res.graph.num_nodes()
+        assert "embeddings" not in vars(res)  # built on first access only
+        assert res.embeddings.count() == res.graph.num_nodes() == len(res.vectors)
 
     def test_run_tdmatch_collects_the_kb_once(self, spark):
         """A run with expansion collects its KB once, for both the filter

@@ -1,7 +1,13 @@
 """Tests for random walks (Alg. 4), embeddings and graph filtering."""
+import hashlib
 import heapq
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from collections import Counter
+from pathlib import Path
 
 import pandas as pd
 import numpy as np
@@ -214,9 +220,41 @@ def _dot8(x, y):
     return ((lane[0] + lane[1]) + (lane[2] + lane[3])) + ((lane[4] + lane[5]) + (lane[6] + lane[7]))
 
 
+SHARDS, ROUND_WORDS = 4, 256  # the kernel's constants
+
+
+def _train_piece(sent, syn0, syn1, codes, points, table, window, alpha, state):
+    """word2vec.c's skip-gram update over one sentence piece, in float32
+    as ``_skipgram.c`` computes it -> the stream's next state."""
+    f32 = np.float32
+    for pos, word in enumerate(sent):
+        state, z = _splitmix64(state)
+        b = z % window
+        for a in range(b, 2 * window + 1 - b):
+            ctx = pos - window + a
+            if a == window or not 0 <= ctx < len(sent):
+                continue
+            l1 = syn0[sent[ctx]]
+            neu1e = np.zeros(len(l1), dtype=f32)
+            for bit, inner in zip(codes[word], points[word]):
+                l2 = syn1[inner]
+                f = _dot8(l1, l2)
+                if f <= -6 or f >= 6:
+                    continue
+                f = table[int(float(f + f32(6)) * (1000 // 6 / 2.0))]
+                g = f32(float(f32(1 - bit) - f) * alpha)
+                neu1e += g * l2
+                l2 += g * l1
+            l1 += neu1e
+    return state
+
+
 def reference_skipgram(sentences, *, vector_size, window, min_count, seed, max_iter, lr=0.025):
-    """Pure-Python skip-gram with hierarchical softmax, operation for
-    operation in float32 as ``_skipgram.c`` computes it -> (ids, vectors)."""
+    """Pure-Python sharded skip-gram with hierarchical softmax, operation
+    for operation in float32 as ``_skipgram.c`` computes it -> (ids,
+    vectors). The shards run one after another; after each round every
+    row, changed or not, is merged, which is the kernel's merge of the
+    changed rows as long as an unchanged row stays as it is."""
     counts = Counter(t for s in sentences for t in s)
     vocab = sorted((w for w, c in counts.items() if c >= min_count), key=lambda w: (-counts[w], w))
     n = len(vocab)
@@ -255,40 +293,49 @@ def reference_skipgram(sentences, *, vector_size, window, min_count, seed, max_i
         state, z = _splitmix64(state)
         syn0.flat[i] = (f32(z >> 40) / f32(16777216.0) - f32(0.5)) / f32(vector_size)
     syn1 = np.zeros_like(syn0)
+    streams = []
+    for _ in range(SHARDS):
+        state, z = _splitmix64(state)
+        streams.append(z)
     table = []
     for i in range(1000):
         e = math.exp((2.0 * i / 1000 - 1.0) * 6)
         table.append(f32(e / (e + 1.0)))
 
-    pieces = [s[i : i + 1000] for s in sents for i in range(0, len(s), 1000)]
+    # shard s: the pieces of its sentences, in rounds of >= ROUND_WORDS words
+    chunks = []
+    for s in range(SHARDS):
+        shard = sents[len(sents) * s // SHARDS : len(sents) * (s + 1) // SHARDS]
+        rounds, cur = [], []
+        for piece in (x[i : i + 1000] for x in shard for i in range(0, len(x), 1000)):
+            cur.append(piece)
+            if sum(map(len, cur)) >= ROUND_WORDS:
+                rounds.append(cur)
+                cur = []
+        chunks.append(rounds + [cur] if cur else rounds)
+    n_rounds = max(map(len, chunks))
+    chunks = [rounds + [[]] * (n_rounds - len(rounds)) for rounds in chunks]
+
     train_words = sum(len(s) for s in sents)
     total = float(max_iter * train_words + 1)
     for k in range(max_iter):
         alpha, words, last = lr, 0, 0
-        for sent in pieces:
+        for r in range(n_rounds):
             if words - last > 10000:
                 last = words
                 alpha = max(lr * (1.0 - (float(words) + float(k * train_words)) / total), lr * 0.0001)
-            words += len(sent)
-            for pos, word in enumerate(sent):
-                state, z = _splitmix64(state)
-                b = z % window
-                for a in range(b, 2 * window + 1 - b):
-                    ctx = pos - window + a
-                    if a == window or not 0 <= ctx < len(sent):
-                        continue
-                    l1 = syn0[sent[ctx]]
-                    neu1e = np.zeros(vector_size, dtype=f32)
-                    for bit, inner in zip(codes[word], points[word]):
-                        l2 = syn1[inner]
-                        f = _dot8(l1, l2)
-                        if f <= -6 or f >= 6:
-                            continue
-                        f = table[int(float(f + f32(6)) * (1000 // 6 / 2.0))]
-                        g = f32(float(f32(1 - bit) - f) * alpha)
-                        neu1e += g * l2
-                        l2 += g * l1
-                    l1 += neu1e
+            words += sum(len(p) for rounds in chunks for p in rounds[r])
+            copies = []
+            for s in range(SHARDS):
+                c0, c1 = syn0.copy(), syn1.copy()
+                for piece in chunks[s][r]:
+                    streams[s] = _train_piece(piece, c0, c1, codes, points, table, window, alpha, streams[s])
+                copies.append((c0, c1))
+            for m, merged in enumerate((syn0, syn1)):
+                delta = copies[0][m] - merged
+                for copy in copies[1:]:
+                    delta += copy[m] - merged
+                merged += delta
     return np.array(vocab, dtype=np.int64), syn0
 
 
@@ -297,6 +344,10 @@ def _corpus(sentences):
     offsets = np.zeros(len(sentences) + 1, dtype=np.int64)
     np.cumsum([len(s) for s in sentences], out=offsets[1:])
     return np.array([t for s in sentences for t in s], dtype=np.int32), offsets
+
+
+def _digest(ids, vectors):
+    return hashlib.sha256(ids.tobytes() + vectors.tobytes()).hexdigest()
 
 
 def _zipf_sentences(seed, n_sentences, max_len, vocab=15):
@@ -333,13 +384,71 @@ class TestSkipgramKernel:
         assert ids.tolist() == want_ids.tolist()
         np.testing.assert_array_equal(vecs, want)
 
+    def test_fewer_sentences_than_shards(self):
+        """Two sentences leave shards 0 and 2 empty in every round."""
+        sents = [[0, 1, 2, 1, 0, 3, 2, 1], [2, 1, 0, 4, 1]]
+        kw = dict(vector_size=8, window=2, min_count=1, seed=6, max_iter=2)
+        ids, vecs = skipgram(*_corpus(sents), **kw)
+        want_ids, want = reference_skipgram(sents, **kw)
+        assert ids.tolist() == want_ids.tolist()
+        np.testing.assert_array_equal(vecs, want)
+
+    def test_sentence_longer_than_a_round(self):
+        """A 700-token sentence is shard 1's whole first chunk while the
+        other shards train short sentences; shard 1 alone has a second."""
+        sents = _zipf_sentences(8, 30, 12)
+        sents[7] = np.random.default_rng(8).integers(0, 15, size=700).tolist()
+        kw = dict(vector_size=8, window=2, min_count=1, seed=4, max_iter=1)
+        ids, vecs = skipgram(*_corpus(sents), **kw)
+        want_ids, want = reference_skipgram(sents, **kw)
+        assert ids.tolist() == want_ids.tolist()
+        np.testing.assert_array_equal(vecs, want)
+
     def test_deterministic(self):
         corpus = _corpus(_zipf_sentences(0, 200, 15, vocab=40))
-        a = skipgram(*corpus, vector_size=16, window=3, seed=9)
-        b = skipgram(*corpus, vector_size=16, window=3, seed=9)
-        assert a[0].tolist() == b[0].tolist()
-        assert a[1].tobytes() == b[1].tobytes()
-        assert skipgram(*corpus, vector_size=16, window=3, seed=10)[1].tobytes() != a[1].tobytes()
+        runs = {_digest(*skipgram(*corpus, vector_size=16, window=3, seed=9)) for _ in range(5)}
+        assert len(runs) == 1
+        assert _digest(*skipgram(*corpus, vector_size=16, window=3, seed=10)) not in runs
+
+    def test_same_bytes_on_one_cpu(self, tmp_path):
+        """The shards and rounds are fixed, not the core count: a process
+        pinned to one CPU trains the bytes this one does."""
+        corpus = _corpus(_zipf_sentences(1, 500, 20, vocab=300))
+        assert len(corpus[0]) >= 5000
+        np.save(tmp_path / "tokens.npy", corpus[0])
+        np.save(tmp_path / "offsets.npy", corpus[1])
+        cpu = min(os.sched_getaffinity(0))
+        child = textwrap.dedent(f"""
+            import hashlib, os, sys
+            import numpy as np
+            os.sched_setaffinity(0, {{{cpu}}})
+            sys.path.insert(0, {str(Path(embed.__file__).parents[2])!r})
+            from repro.core.embed import skipgram
+            ids, vecs = skipgram(np.load({str(tmp_path / "tokens.npy")!r}),
+                                 np.load({str(tmp_path / "offsets.npy")!r}), vector_size=16, seed=3)
+            print(sorted(os.sched_getaffinity(0)), hashlib.sha256(ids.tobytes() + vecs.tobytes()).hexdigest())
+        """)
+        out = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=120, check=True
+        ).stdout.split()
+        assert out == [f"[{cpu}]", _digest(*skipgram(*corpus, vector_size=16, seed=3))]
+
+    def test_failure_codes_name_the_failure(self, monkeypatch):
+        """sg_train's codes for a failed allocation and a thread that could
+        not start become RuntimeErrors that say which."""
+        real = embed._kernel()
+
+        class Stub:
+            def __init__(self, rc):
+                self.sg_huffman, self.rc = real.sg_huffman, rc
+
+            def sg_train(self, *args):
+                return self.rc
+
+        for rc, message in ((-1, "out of memory"), (-2, "could not start its threads"), (-7, "code -7")):
+            monkeypatch.setattr(embed, "_kernel", lambda rc=rc: Stub(rc))
+            with pytest.raises(RuntimeError, match=message):
+                skipgram(*_corpus([[0, 1, 0]]), vector_size=4)
 
     def test_vocabulary_order(self):
         # counts 7: 3, 2: 3, 5: 1, 9: 2 -> by count descending, then id
@@ -420,7 +529,7 @@ class TestHuffman:
 
 class TestKernelBuild:
     def test_flags_keep_vectors_cpu_independent(self):
-        assert "-ffp-contract=off" in embed.CFLAGS
+        assert "-ffp-contract=off" in embed.CFLAGS and "-pthread" in embed.CFLAGS
         assert not any(f.startswith("-march") or f.startswith("-mtune") for f in embed.CFLAGS)
         assert "-ffast-math" not in embed.CFLAGS and "-Ofast" not in embed.CFLAGS
 
