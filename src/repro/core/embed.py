@@ -182,7 +182,8 @@ def train_embeddings(
 
     ``walks`` must have a column ``walk: array<string>``. On the walks of
     :func:`repro.core.walks.generate_walks` this gives the vectors that
-    :func:`skipgram` gives on the same walks as node indices.
+    :func:`skipgram` gives on the same walks as node indices. Only the
+    benchmark's traced run (``tdbench/stages.py``) calls it.
     """
     return _train_sentences(
         walks, "walk", "node", vector_size=vector_size, window=window,

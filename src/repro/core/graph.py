@@ -23,9 +23,8 @@ and the column-term edges.
 Only corpus selection runs in Spark SQL: the documents' ids and text, and a
 taxonomy's parent join. Algorithm 1's build runs on the driver in pandas,
 and :class:`Graph` keeps its rows there as pandas frames. The stages after
-the build (merging, the late §II-B filter, expansion, MSP) rewrite those
-rows without a Spark job, and ``Graph.nodes`` / ``Graph.edges`` give them to
-Spark consumers as Arrow local relations.
+the build (merging, the late §II-B filter, expansion, MSP and SSuM) rewrite
+those rows without a Spark job.
 
 Term filtering (§II-B): ``build_graph`` creates data nodes from the corpus
 with the smaller number of distinct tokens and keeps, for the other corpus,
@@ -123,11 +122,7 @@ class StructuredTextCorpus:
         return f"{self.name}::{raw}"
 
 
-Corpus = object  # union of the three dataclasses above
-
-
 NODE_SCHEMA = "id string, type string, corpus string"
-EDGE_SCHEMA = "src string, dst string"
 
 
 @dataclass(eq=False)
@@ -135,10 +130,8 @@ class Graph:
     """Undirected graph held on the driver; see module docstring.
 
     ``node_rows(id, type, corpus)`` and ``edge_rows(src, dst)`` are pandas
-    frames. The graph-scale stages (merge, filter, expand, MSP) rewrite them
-    with pandas and NumPy and run no Spark job. ``nodes`` / ``edges`` are the
-    same rows as DataFrames, Arrow local relations built on first use
-    (:func:`pandas_frame`), for consumers that join them in Spark.
+    frames. The graph-scale stages (merge, filter, expand, MSP, SSuM)
+    rewrite them with pandas and NumPy and run no Spark job.
 
     ``term_corpus`` records which corpus defined the term space (§II-B) when
     the graph came out of :func:`build_graph`.
@@ -149,21 +142,6 @@ class Graph:
     edge_rows: pd.DataFrame
     term_corpus: Optional[str] = None
 
-    @classmethod
-    def from_frames(
-        cls, nodes: DataFrame, edges: DataFrame, term_corpus: Optional[str] = None
-    ) -> "Graph":
-        """The graph of the rows of ``nodes`` and ``edges``, brought to the
-        driver in one action (a collect of their union)."""
-        both = nodes.select(F.lit(True).alias("node"), "id", "type", "corpus").union(
-            edges.select(F.lit(False), "src", "dst", F.lit(None).cast("string"))
-        )
-        pdf = both.toPandas()
-        is_node = pdf.pop("node").astype(bool).to_numpy()
-        node_rows = pdf[is_node].reset_index(drop=True)
-        edge_rows = pdf[~is_node].drop(columns="corpus").set_axis(["src", "dst"], axis=1)
-        return cls(nodes.sparkSession, node_rows, edge_rows.reset_index(drop=True), term_corpus)
-
     def with_rows(self, nodes: pd.DataFrame, edges: pd.DataFrame) -> "Graph":
         """A graph over new driver rows, in the same session and term space."""
         return Graph(
@@ -172,11 +150,10 @@ class Graph:
 
     @cached_property
     def nodes(self) -> DataFrame:
+        """``node_rows`` as an Arrow local relation, built on first use. Only
+        :meth:`doc_nodes` reads it, for the benchmark's traced run, which
+        joins the documents to the vectors in Spark."""
         return pandas_frame(self.spark, self.node_rows, NODE_SCHEMA)
-
-    @cached_property
-    def edges(self) -> DataFrame:
-        return pandas_frame(self.spark, self.edge_rows, EDGE_SCHEMA)
 
     def num_nodes(self) -> int:
         return len(self.node_rows)
@@ -184,45 +161,19 @@ class Graph:
     def num_edges(self) -> int:
         return len(self.edge_rows)
 
-    def metadata_nodes(self, corpus: Optional[str] = None) -> DataFrame:
-        out = self.nodes.where(F.col("type").isin(list(METADATA_TYPES)))
-        if corpus is not None:
-            out = out.where(F.col("corpus") == corpus)
-        return out
-
     def doc_nodes(self, corpus: Optional[str] = None) -> DataFrame:
-        """Matchable document nodes (tuples/texts/concepts, no column nodes)."""
+        """Matchable document nodes (tuples/texts/concepts, no column nodes)
+        as a DataFrame, for the benchmark's traced run; ``run_tdmatch``
+        selects them from ``node_rows``."""
         out = self.nodes.where(F.col("type").isin(list(DOC_TYPES)))
         if corpus is not None:
             out = out.where(F.col("corpus") == corpus)
         return out
 
-    def symmetric_edges(self) -> DataFrame:
-        """Both directions of every undirected edge."""
-        rev = self.edges.select(F.col("dst").alias("src"), F.col("src").alias("dst"))
-        return self.edges.unionByName(rev)
-
-    def degrees(self) -> DataFrame:
-        """DataFrame(id, degree) over nodes incident to at least one edge."""
-        return (
-            self.symmetric_edges()
-            .groupBy(F.col("src").alias("id"))
-            .agg(F.count("*").alias("degree"))
-        )
-
     def index(self) -> "GraphIndex":
         """The graph as a :class:`GraphIndex` (isolated nodes included)."""
         e = self.edge_rows
         return GraphIndex.from_edges(self.node_rows["id"], e["src"], e["dst"])
-
-    def subgraph(self, keep_nodes: DataFrame) -> "Graph":
-        """Induced subgraph on the nodes whose ids are in ``keep_nodes`` (a
-        DataFrame with column ``id``, duplicates allowed)."""
-        return self.induced(self.node_rows["id"].isin(_ids(keep_nodes)))
-
-    def without_nodes(self, drop_nodes: DataFrame) -> "Graph":
-        """Induced subgraph on the nodes not in ``drop_nodes``."""
-        return self.induced(~self.node_rows["id"].isin(_ids(drop_nodes)))
 
     def induced(self, keep: pd.Series) -> "Graph":
         """Induced subgraph on the nodes where the boolean mask ``keep``
@@ -230,10 +181,6 @@ class Graph:
         nodes = self.node_rows[keep.to_numpy()]
         e = self.edge_rows
         return self.with_rows(nodes, e[e["src"].isin(nodes["id"]) & e["dst"].isin(nodes["id"])])
-
-
-def _ids(df: DataFrame) -> pd.Series:
-    return df.select("id").toPandas()["id"]
 
 
 @dataclass(frozen=True)
@@ -443,7 +390,8 @@ KB = Union[DataFrame, pd.DataFrame]
 def kb_rows(kb: KB) -> pd.DataFrame:
     """pandas(subject, object) of a KB edge list as strings: a DataFrame is
     cast and collected in one action; a pandas frame, rows already
-    collected by this function, is returned as it is."""
+    collected by this function, is returned as it is. The stages take either:
+    ``run_tdmatch`` passes the rows, ``tdbench/stages.py`` the DataFrame."""
     if isinstance(kb, pd.DataFrame):
         return kb
     return kb.select(*[F.col(c).cast("string") for c in ("subject", "object")]).toPandas()

@@ -77,7 +77,9 @@ def top_k_matches(
     target_col: str = "node",
 ) -> DataFrame:
     """DataFrame(query, target, score, rank): :func:`top_k_rows` of two
-    embedding DataFrames, collected in one action."""
+    embedding DataFrames, collected in one action. The baselines rank
+    through it, and so does the benchmark's traced run
+    (``tdbench/stages.py``)."""
     # one collect for both sides: Spark can reuse an exchange they share
     sides = query_emb.select(
         F.lit(True).alias("is_query"), F.col(query_col).cast("string").alias("id"), "vector"

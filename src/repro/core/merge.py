@@ -165,6 +165,8 @@ def merge_synonyms(graph: Graph, synonyms: DataFrame) -> Tuple[Graph, int]:
     Only variants present in the graph are rewritten; the canonical node is
     created implicitly by the rewrite if absent. Chains (a->b, b->c) are
     resolved transitively up to length 8 before applying.
+    ``synonyms``, a DataFrame(variant, canonical) as every caller holds it
+    (``tdbench/stages.py`` too), is collected in one action.
     """
     pdf = synonyms.select(
         F.col("variant").cast("string"), F.col("canonical").cast("string")

@@ -11,10 +11,11 @@ paper's method variants map to configs:
 
 The result carries the ranked matches plus the graph-size trail
 (original/expanded/compressed #nodes/#edges) that Table VIII reports.
+After the corpus, synonym and KB collects, every stage (either
+compression too) runs on the driver and starts no Spark job.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -25,7 +26,7 @@ from pyspark.sql import functions as F
 from .compress import msp_compress, ssum_like_compress
 from .embed import skipgram, vector_rows
 from .expand import expand_graph
-from .graph import DOC_TYPES, Graph, build_graph, filter_to_term_corpus, kb_rows, pandas_frame
+from .graph import DOC_TYPES, Graph, build_graph, filter_to_term_corpus, kb_rows
 from .match import matches_frame, top_k_rows
 from .merge import merge_numeric_buckets, merge_synonyms
 from .walks import walk_corpus
@@ -63,15 +64,11 @@ class TDMatchResult:
     vectors: pd.DataFrame  # pandas(node, vector) for every graph node
     graph: Graph
 
-    @functools.cached_property
-    def embeddings(self) -> DataFrame:
-        """``vectors`` as DataFrame(node, vector), a local relation built on
-        first access: a run does not pay for it."""
-        return pandas_frame(self.graph.spark, self.vectors, "node string, vector array<double>")
-
 
 def strip_prefix(col, corpus_name: str):
-    """Graph doc id ``name::raw`` -> raw document id column."""
+    """Graph doc id ``name::raw`` -> raw document id column. ``run_tdmatch``
+    strips the prefix in pandas; the benchmark's traced run, which ranks in
+    Spark, uses this."""
     return F.expr(f"substring({col}, {len(corpus_name) + 3})")
 
 
@@ -125,7 +122,8 @@ def run_tdmatch(
     independent of query direction and handled inside ``build_graph``.
 
     The corpus collects of ``build_graph``, and one collect each of the
-    synonyms and (with expansion) the KB, are its only Spark jobs.
+    synonyms and (with expansion) the KB, are its only Spark jobs, with MSP,
+    SSuM or no compression.
     """
     cfg = config
     sizes: Dict[str, Tuple[int, int]] = {}

@@ -199,7 +199,8 @@ def generate_walks(
 
     The walks reach Spark as one Arrow table, a local relation whose scan
     would otherwise be split ``defaultParallelism`` ways; one partition
-    keeps them in corpus order for every consumer.
+    keeps them in corpus order for every consumer. Only the benchmark's
+    traced run (``tdbench/stages.py``) calls it.
     """
     index = graph.index()
     tokens, offsets = walk_corpus(index, num_walks=num_walks, walk_length=walk_length, seed=seed)

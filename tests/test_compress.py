@@ -1,7 +1,7 @@
 """Tests for compression (§III-B): BFS helpers, MSP (Alg. 3), SSuM-like."""
+import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.compress import (
     all_shortest_path_edges,
@@ -10,8 +10,25 @@ from repro.core.compress import (
     sample_pairs,
     ssum_like_compress,
 )
-from repro.core.graph import Graph, TableCorpus, TextCorpus, build_graph
+from repro.core.graph import DOC_TYPES, METADATA_TYPES, Graph, TableCorpus, TextCorpus, build_graph
 from tests.helpers import adjacency
+
+
+def rows(df: pd.DataFrame) -> set:
+    return set(df.itertuples(index=False, name=None))
+
+
+def metadata_ids(graph: Graph) -> set:
+    nodes = graph.node_rows
+    return set(nodes.loc[nodes["type"].isin(METADATA_TYPES), "id"])
+
+
+def shuffled(graph: Graph, seed: int) -> Graph:
+    """The same graph, its node and edge rows in a random order."""
+    return graph.with_rows(
+        graph.node_rows.sample(frac=1, random_state=seed),
+        graph.edge_rows.sample(frac=1, random_state=seed + 1),
+    )
 
 
 # a diamond with a pendant: a-b, a-c, b-d, c-d, d-e
@@ -88,23 +105,20 @@ def small_graph(spark):
 class TestMsp:
     def test_subset_of_input(self, small_graph):
         cg = msp_compress(small_graph, beta=0.5, seed=0)
-        in_edges = {(r["src"], r["dst"]) for r in small_graph.edges.collect()}
-        for r in cg.edges.collect():
-            assert (r["src"], r["dst"]) in in_edges
-        in_nodes = {r["id"] for r in small_graph.nodes.collect()}
-        assert {r["id"] for r in cg.nodes.collect()} <= in_nodes
+        assert rows(cg.edge_rows) <= rows(small_graph.edge_rows)
+        assert set(cg.node_rows["id"]) <= set(small_graph.node_rows["id"])
 
     def test_all_metadata_retained(self, small_graph):
         cg = msp_compress(small_graph, beta=0.25, seed=1)
-        want = {r["id"] for r in small_graph.metadata_nodes().collect()}
-        got = {r["id"] for r in cg.nodes.collect()}
-        assert want <= got
+        assert metadata_ids(small_graph) <= set(cg.node_rows["id"])
 
     def test_doc_nodes_connected(self, small_graph):
         cg = msp_compress(small_graph, beta=0.5, seed=2)
-        deg = {r["id"]: r["degree"] for r in cg.degrees().collect()}
-        for r in cg.doc_nodes().collect():
-            assert deg.get(r["id"], 0) >= 1
+        index = cg.index()
+        deg = dict(zip(index.ids, index.degrees()))
+        nodes = cg.node_rows
+        for doc in nodes.loc[nodes["type"].isin(DOC_TYPES), "id"]:
+            assert deg.get(doc, 0) >= 1
 
     def test_not_larger(self, small_graph):
         cg = msp_compress(small_graph, beta=0.5, seed=0)
@@ -113,9 +127,7 @@ class TestMsp:
     def test_deterministic(self, small_graph):
         a = msp_compress(small_graph, beta=0.5, seed=3)
         b = msp_compress(small_graph, beta=0.5, seed=3)
-        ea = sorted((r["src"], r["dst"]) for r in a.edges.collect())
-        eb = sorted((r["src"], r["dst"]) for r in b.edges.collect())
-        assert ea == eb
+        assert rows(a.edge_rows) == rows(b.edge_rows)
 
     def test_independent_of_node_row_order(self, spark):
         words = [f"w{i}" for i in range(12)]
@@ -133,29 +145,23 @@ class TestMsp:
             auto_order=False,
         )
 
-        def compressed(order):
-            out = msp_compress(
-                Graph.from_frames(g.nodes.orderBy(order), g.edges, g.term_corpus), beta=0.2, seed=0
-            )
-            return (
-                {tuple(r) for r in out.nodes.collect()},
-                {tuple(r) for r in out.edges.collect()},
-            )
+        def compressed(ascending):
+            nodes = g.node_rows.sort_values("id", ascending=ascending)
+            out = msp_compress(g.with_rows(nodes, g.edge_rows), beta=0.2, seed=0)
+            return rows(out.node_rows), rows(out.edge_rows)
 
-        assert compressed(F.col("id")) == compressed(F.desc("id"))
+        assert compressed(True) == compressed(False)
 
     def test_independent_of_partitioning(self, spark, small_graph):
         def compressed(graph):
             out = msp_compress(graph, beta=0.5, seed=4)
-            return (
-                sorted(tuple(r) for r in out.nodes.collect()),
-                sorted(tuple(r) for r in out.edges.collect()),
-            )
+            return rows(out.node_rows), rows(out.edge_rows)
 
         g = small_graph
-        ref = compressed(Graph.from_frames(g.nodes.coalesce(1), g.edges.coalesce(1), g.term_corpus))
+        ref = compressed(g)
         assert ref[1]
-        assert compressed(Graph.from_frames(g.nodes.repartition(7), g.edges.repartition(5), g.term_corpus)) == ref
+        for seed in (0, 1):
+            assert compressed(shuffled(g, seed)) == ref
         key = "spark.sql.shuffle.partitions"
         before = spark.conf.get(key)
         try:
@@ -168,7 +174,8 @@ class TestMsp:
     @pytest.mark.parametrize("beta,seed", [(0.25, 1), (2.0, 0)])
     def test_equals_per_pair_reference(self, small_graph, beta, seed):
         """One BFS per source keeps exactly the edges of the per-pair loop."""
-        docs = small_graph.doc_nodes().select("id", "corpus").toPandas()
+        nodes = small_graph.node_rows
+        docs = nodes[nodes["type"].isin(DOC_TYPES)]
         first, second = (
             sorted(docs.loc[docs["corpus"] == c, "id"]) for c in sorted(docs["corpus"].unique())
         )
@@ -179,19 +186,16 @@ class TestMsp:
         for s, d in zip(pairs["src"], pairs["dst"]):
             want_edges.update(all_shortest_path_edges(adj, s, d))
         keep = {u for e in want_edges for u in e}
-        keep |= {r["id"] for r in small_graph.metadata_nodes().collect()}
-        want_nodes = sorted(tuple(r) for r in small_graph.nodes.collect() if r["id"] in keep)
+        keep |= metadata_ids(small_graph)
+        want_nodes = rows(nodes[nodes["id"].isin(keep)])
 
         cg = msp_compress(small_graph, beta=beta, seed=seed)
-        assert sorted(tuple(r) for r in cg.edges.collect()) == sorted(want_edges)
-        assert sorted(tuple(r) for r in cg.nodes.collect()) == want_nodes
+        assert sorted(cg.edge_rows.itertuples(index=False, name=None)) == sorted(want_edges)
+        assert rows(cg.node_rows) == want_nodes
 
     def test_needs_two_corpora(self, spark, small_graph):
-        only = small_graph.subgraph(
-            small_graph.nodes.where(
-                (F.col("corpus") == "t") | (F.col("type") == "data")
-            ).select("id")
-        )
+        nodes = small_graph.node_rows
+        only = small_graph.induced((nodes["corpus"] == "t") | (nodes["type"] == "data"))
         only.term_corpus = "t"
         with pytest.raises(ValueError):
             msp_compress(only, beta=0.5)
@@ -205,12 +209,27 @@ class TestMsp:
 class TestSsum:
     def test_metadata_retained(self, small_graph):
         cg = ssum_like_compress(small_graph, ratio=0.5, seed=0)
-        want = {r["id"] for r in small_graph.metadata_nodes().collect()}
-        assert want <= {r["id"] for r in cg.nodes.collect()}
+        assert metadata_ids(small_graph) <= set(cg.node_rows["id"])
 
     def test_reduces_edges(self, small_graph):
         cg = ssum_like_compress(small_graph, ratio=0.3, seed=0)
         assert cg.num_edges() <= small_graph.num_edges()
+
+    def test_keeps_the_seeded_draw_over_sorted_edges(self, small_graph):
+        merged = ssum_like_compress(small_graph, ratio=1.0, seed=0).edge_rows
+        merged = merged.sort_values(["src", "dst"])
+        want = merged[np.random.default_rng(3).random(len(merged)) < 0.4]
+        assert rows(ssum_like_compress(small_graph, ratio=0.4, seed=3).edge_rows) == rows(want)
+
+    def test_independent_of_row_order(self, small_graph):
+        def compressed(graph):
+            out = ssum_like_compress(graph, ratio=0.5, seed=4)
+            return rows(out.node_rows), rows(out.edge_rows)
+
+        ref = compressed(small_graph)
+        assert 0 < len(ref[1]) < small_graph.num_edges()
+        for seed in (0, 1):
+            assert compressed(shuffled(small_graph, seed)) == ref
 
     def test_ratio_one_keeps_merged_graph(self, small_graph):
         cg = ssum_like_compress(small_graph, ratio=1.0, seed=0)
@@ -238,7 +257,7 @@ class TestSsum:
         edges = pd.DataFrame(
             [(n, "d::x") for n in x] + [(n, "d::y") for n in y], columns=["src", "dst"]
         )
-        g = Graph.from_frames(spark.createDataFrame(nodes), spark.createDataFrame(edges), "s")
+        g = Graph(spark, nodes, edges, "s")
         cg = ssum_like_compress(g, ratio=1.0, seed=0)
-        data = {r["id"] for r in cg.nodes.where(F.col("type") == "data").collect()}
+        data = set(cg.node_rows.loc[cg.node_rows["type"] == "data", "id"])
         assert data == ({"d::x"} if merged else {"d::x", "d::y"})

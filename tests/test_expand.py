@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.expand import expand_graph
 from repro.core.graph import (
+    METADATA_TYPES,
     StructuredTextCorpus,
     TableCorpus,
     TextCorpus,
@@ -12,6 +13,7 @@ from repro.core.graph import (
     filter_to_term_corpus,
 )
 from repro.core.merge import merge_synonyms
+from tests.helpers import edge_set, symmetric_edges
 
 
 @pytest.fixture(scope="module")
@@ -36,33 +38,33 @@ class TestExpand:
     def test_adds_edge_between_existing_terms(self, spark, g):
         kb = _kb(spark, [("tarantino", "comedy")])
         out = expand_graph(g, kb)
-        edges = {(r["src"], r["dst"]) for r in out.symmetric_edges().collect()}
+        edges = symmetric_edges(out)
         assert (data_node_id("tarantino"), data_node_id("comedy")) in edges
 
     def test_symmetric_fetch(self, spark, g):
         # KB stores (comedy, tarantino); node tarantino still fetches it
         kb = _kb(spark, [("comedy", "tarantino")])
         out = expand_graph(g, kb)
-        edges = {(r["src"], r["dst"]) for r in out.symmetric_edges().collect()}
+        edges = symmetric_edges(out)
         assert (data_node_id("tarantino"), data_node_id("comedy")) in edges
 
     def test_new_node_with_two_connections_kept(self, spark, g):
         kb = _kb(spark, [("tarantino", "style"), ("comedy", "style")])
         out = expand_graph(g, kb)
-        ids = {r["id"] for r in out.nodes.collect()}
+        ids = set(out.node_rows["id"])
         assert data_node_id("style") in ids
 
     def test_sink_removed(self, spark, g):
         # "vaswani" connects only to shyamalan -> degree 1 -> removed (Alg. 2)
         kb = _kb(spark, [("shyamalan", "vaswani")])
         out = expand_graph(g, kb)
-        ids = {r["id"] for r in out.nodes.collect()}
+        ids = set(out.node_rows["id"])
         assert data_node_id("vaswani") not in ids
 
     def test_sink_scope_none_keeps(self, spark, g):
         kb = _kb(spark, [("shyamalan", "vaswani")])
         out = expand_graph(g, kb, sink_scope="none")
-        ids = {r["id"] for r in out.nodes.collect()}
+        ids = set(out.node_rows["id"])
         assert data_node_id("vaswani") in ids
 
     def test_sink_scope_all_prunes_corpus_sinks(self, spark, g):
@@ -84,15 +86,15 @@ class TestExpand:
     def test_monotone_before_cleanup(self, spark, g):
         kb = _kb(spark, [("tarantino", "comedy"), ("drama", "comedy")])
         out = expand_graph(g, kb, sink_scope="none")
-        in_edges = {(r["src"], r["dst"]) for r in g.edges.collect()}
-        out_edges = {(r["src"], r["dst"]) for r in out.edges.collect()}
+        in_edges = edge_set(g)
+        out_edges = edge_set(out)
         assert in_edges <= out_edges
 
     def test_metadata_untouched(self, spark, g):
         kb = _kb(spark, [("tarantino", "comedy")])
         out = expand_graph(g, kb)
-        want = {r["id"] for r in g.metadata_nodes().collect()}
-        got = {r["id"] for r in out.metadata_nodes().collect()}
+        want = set(g.node_rows.loc[g.node_rows["type"].isin(METADATA_TYPES), "id"])
+        got = set(out.node_rows.loc[out.node_rows["type"].isin(METADATA_TYPES), "id"])
         assert want == got
 
     def test_no_self_relations(self, spark, g):
@@ -136,7 +138,7 @@ def test_filter_and_expand_independent_of_shuffle_partitions(spark):
             f = filter_to_term_corpus(g, kb=kb)
             e = expand_graph(f, kb)
             return [
-                ({tuple(r) for r in x.nodes.collect()}, {tuple(r) for r in x.edges.collect()})
+                (set(x.node_rows.itertuples(index=False, name=None)), edge_set(x))
                 for x in (f, e)
             ]
         finally:
@@ -167,7 +169,7 @@ class TestJoinPlans:
         """After build_graph's collect, the graph-scale stages run on the
         driver rows: no Spark job, but one to collect the stage's synonym
         dictionary or KB."""
-        from repro.core.compress import msp_compress
+        from repro.core.compress import msp_compress, ssum_like_compress
         from repro.core.merge import merge_numeric_buckets
 
         t = spark.createDataFrame(
@@ -199,6 +201,7 @@ class TestJoinPlans:
         g = run("filter", filter_to_term_corpus, g, kb=kb)
         for scope in ("none", "all", "added"):
             out = run(f"expand.{scope}", expand_graph, g, kb, sink_scope=scope)
+        run("ssum", ssum_like_compress, out, ratio=0.5)
         out = run("msp", msp_compress, out, beta=0.5)
         run("index", out.index)
         assert jobs == {
@@ -208,6 +211,7 @@ class TestJoinPlans:
             "expand.none": 1,
             "expand.all": 1,
             "expand.added": 1,
+            "ssum": 0,
             "msp": 0,
             "index": 0,
         }
@@ -278,8 +282,7 @@ class TestJoinPlans:
         assert len(sc.statusTracker().getJobIdsForGroup(group)) == 0
         top = {(r["query"], r["target"]) for r in res.matches.where("rank = 1").collect()}
         assert top == {("1", "1"), ("2", "2")}
-        assert "embeddings" not in vars(res)  # built on first access only
-        assert res.embeddings.count() == res.graph.num_nodes() == len(res.vectors)
+        assert res.vectors["node"].nunique() == res.graph.num_nodes() == len(res.vectors)
 
     def test_run_tdmatch_collects_the_kb_once(self, spark):
         """A run with expansion collects its KB once, for both the filter

@@ -1,7 +1,6 @@
 """Tests for graph creation (Algorithm 1) and the Graph container."""
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core import graph as G
 from repro.core.graph import (
@@ -15,7 +14,11 @@ from repro.core.graph import (
     term_of,
 )
 from repro.core.preprocess import terms
-from tests.helpers import adjacency
+from tests.helpers import adjacency, edge_set, symmetric_edges
+
+
+def ids_of_type(g, *types) -> set:
+    return set(g.node_rows.loc[g.node_rows["type"].isin(types), "id"])
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +61,11 @@ def g1(spark, example1):
 
 class TestBuildGraph:
     def test_metadata_nodes_present(self, g1):
-        ids = {r["id"] for r in g1.metadata_nodes().collect()}
+        ids = ids_of_type(g1, *G.METADATA_TYPES)
         assert {"movies::1", "movies::2", "reviews::1", "reviews::2"} <= ids
 
     def test_column_nodes_present(self, g1):
-        cols = {r["id"] for r in g1.nodes.where(F.col("type") == G.COLUMN).collect()}
+        cols = ids_of_type(g1, G.COLUMN)
         assert cols == {
             f"col::movies::{a}" for a in ["title", "director", "actor", "rate", "genre"]
         }
@@ -72,59 +75,59 @@ class TestBuildGraph:
         assert G.COLUMN not in types
 
     def test_shared_term_single_node(self, g1):
-        willis = [r for r in g1.nodes.collect() if r["id"] == data_node_id("willi")]
+        willis = [i for i in g1.node_rows["id"] if i == data_node_id("willi")]
         assert len(willis) == 1
 
     def test_tuple_connected_to_its_terms(self, g1):
-        edges = {(r["src"], r["dst"]) for r in g1.symmetric_edges().collect()}
+        edges = symmetric_edges(g1)
         assert ("movies::1", data_node_id("shyamalan")) in edges
         assert ("movies::2", data_node_id("tarantino")) in edges
 
     def test_column_connected_to_domain_terms(self, g1):
-        edges = {(r["src"], r["dst"]) for r in g1.symmetric_edges().collect()}
+        edges = symmetric_edges(g1)
         assert ("col::movies::genre", data_node_id("thriller")) in edges
         assert ("col::movies::genre", data_node_id("drama")) in edges
 
     def test_no_cross_attribute_ngrams(self, g1):
         # "Shyamalan" (director) and "B. Willis" (actor) are different cells:
         # no bigram spans them
-        ids = {r["id"] for r in g1.nodes.collect()}
+        ids = set(g1.node_rows["id"])
         assert data_node_id("shyamalan_b") not in ids
 
     def test_second_corpus_terms_filtered(self, g1):
         # review bigram "bruce_willi" does not exist in the table's term
         # space, so §II-B filtering drops it; the unigram bridge survives
-        ids = {r["id"] for r in g1.nodes.collect()}
+        ids = set(g1.node_rows["id"])
         assert data_node_id("bruce_willi") not in ids
         assert data_node_id("willi") in ids
 
     def test_text_ngrams_within_sentence(self, spark, example1):
         table, text = example1
         g = build_graph(spark, text, table, max_n=2, auto_order=False)
-        ids = {r["id"] for r in g.nodes.collect()}
+        ids = set(g.node_rows["id"])
         assert data_node_id("bruce_willi") in ids
 
     def test_metadata_never_linked_across_corpora(self, g1):
-        meta = {r["id"] for r in g1.metadata_nodes().collect()}
-        for r in g1.edges.collect():
+        meta = ids_of_type(g1, *G.METADATA_TYPES)
+        for r in g1.edge_rows.to_dict("records"):
             assert not (r["src"] in meta and r["dst"] in meta)
 
     def test_filter_second_drops_unshared_terms(self, spark, example1):
         table, text = example1
         g = build_graph(spark, text, table, max_n=1, auto_order=False)
-        ids = {r["id"] for r in g.nodes.collect()}
+        ids = set(g.node_rows["id"])
         # "osment" appears only in reviews (second corpus after auto order
         # disabled: first=text) — here first corpus is text so osment stays
         assert data_node_id("osment") in ids
         g2 = build_graph(spark, table, text, max_n=1, auto_order=False)
-        ids2 = {r["id"] for r in g2.nodes.collect()}
+        ids2 = set(g2.node_rows["id"])
         # with the table first, review-only terms are filtered out (§II-B)
         assert data_node_id("osment") not in ids2
 
     def test_no_filter_keeps_everything(self, spark, example1):
         table, text = example1
         g = build_graph(spark, table, text, max_n=1, auto_order=False, filter_second=False)
-        ids = {r["id"] for r in g.nodes.collect()}
+        ids = set(g.node_rows["id"])
         assert data_node_id("osment") in ids
 
     def test_auto_order_prefers_smaller_token_set(self, spark, example1):
@@ -138,16 +141,16 @@ class TestBuildGraph:
         assert len(unigrams(text, [text.text_col])) < len(unigrams(table, table.attr_cols))
         for a, b in ((text, table), (table, text)):
             g = build_graph(spark, a, b, max_n=1)  # auto_order on
-            ids = {r["id"] for r in g.nodes.collect()}
+            ids = set(g.node_rows["id"])
             assert data_node_id("osment") in ids
             assert data_node_id("sixth") not in ids
 
     def test_edges_canonical(self, g1):
-        for r in g1.edges.collect():
+        for r in g1.edge_rows.to_dict("records"):
             assert r["src"] < r["dst"]
 
     def test_edges_distinct(self, g1):
-        assert g1.edges.count() == g1.edges.distinct().count()
+        assert len(edge_set(g1)) == g1.num_edges()
 
 
 def _scans_rdd(df) -> bool:
@@ -182,7 +185,7 @@ class TestColumnNodes:
             "rid", "text",
         )
         g = build_graph(spark, table, text, max_n=1, auto_order=False)
-        cols = {r["id"] for r in g.nodes.where(F.col("type") == G.COLUMN).collect()}
+        cols = ids_of_type(g, G.COLUMN)
         assert cols == {"col::movies::title", "col::movies::rate"}
 
     def test_no_attributes(self, spark, table):
@@ -202,7 +205,7 @@ class TestColumnNodes:
         )
         assert _scans_rdd(listed)  # the check sees a list-built frame
         g = build_graph(spark, table, table, max_n=1, auto_order=False)
-        assert not _scans_rdd(g.nodes) and not _scans_rdd(g.edges)
+        assert not _scans_rdd(g.nodes)
 
 
 class TestPandasFrame:
@@ -233,7 +236,7 @@ class TestTermTableEdgeCases:
             assert len(out) == 0 and len(docs) == 0
             g = build_graph(spark, corpus, corpus, max_n=2)
             assert g.num_nodes() == len(getattr(corpus, "attr_cols", []))  # column nodes only
-            assert not _scans_rdd(g.edges)
+            assert not _scans_rdd(g.nodes)
 
     def test_null_and_stopword_documents(self, spark):
         df = spark.createDataFrame(
@@ -249,9 +252,9 @@ class TestTermTableEdgeCases:
         )
         for filter_second in (True, False):
             g = build_graph(spark, table, text, max_n=1, auto_order=False, filter_second=filter_second)
-            ids = {r["id"] for r in g.nodes.collect()}
+            ids = set(g.node_rows["id"])
             assert {"c::1", "c::2", "c::3"} <= ids
-            linked = {x for r in g.edges.collect() for x in r}
+            linked = set(g.edge_rows["src"]) | set(g.edge_rows["dst"])
             assert "c::3" in linked and not linked & {"c::1", "c::2"}
 
     def test_table_with_null_cell(self, spark):
@@ -287,17 +290,17 @@ class TestStructuredCorpus:
         )
 
     def test_hierarchy_edges(self, tax_graph):
-        edges = {(r["src"], r["dst"]) for r in tax_graph.symmetric_edges().collect()}
+        edges = symmetric_edges(tax_graph)
         assert ("tax::2", "tax::1") in edges
         assert ("tax::3", "tax::2") in edges
 
     def test_concept_type(self, tax_graph):
-        types = dict((r["id"], r["type"]) for r in tax_graph.nodes.collect())
+        types = dict(zip(tax_graph.node_rows["id"], tax_graph.node_rows["type"]))
         assert types["tax::1"] == G.CONCEPT
         assert types["docs::1"] == G.TEXT
 
     def test_one_hierarchy_edge_per_parent_link(self, tax_graph):
-        edges = {(r["src"], r["dst"]) for r in tax_graph.edges.collect()}
+        edges = edge_set(tax_graph)
         concept_edges = [
             e for e in edges if e[0].startswith("tax::") and e[1].startswith("tax::")
         ]
@@ -309,17 +312,18 @@ class TestGraphOps:
     def test_degrees_against_oracle(self, spark, g1):
         from repro.oracle import assert_equivalent
 
-        edges_pdf = g1.edges.toPandas()
-        got = g1.degrees()
+        index = g1.index()
+        got = pd.DataFrame({"id": index.ids, "degree": index.degrees()})
+        got = got[got["degree"] > 0]
         sql = """
             SELECT id, COUNT(*)::BIGINT AS degree FROM (
               SELECT src AS id FROM e UNION ALL SELECT dst AS id FROM e
             ) GROUP BY id
         """
-        assert_equivalent(got, sql, e=edges_pdf)
+        assert_equivalent(got, sql, e=g1.edge_rows)
 
     def test_symmetric_edges_double(self, g1):
-        assert g1.symmetric_edges().count() == 2 * g1.num_edges()
+        assert len(symmetric_edges(g1)) == len(g1.index().targets) == 2 * g1.num_edges()
 
     def test_adjacency_is_symmetric(self, g1):
         adj = adjacency(g1)
@@ -335,10 +339,10 @@ class TestGraphOps:
     def test_index_matches_adjacency(self, g1):
         index = g1.index()
         adj = {}
-        for r in g1.edges.collect():
+        for r in g1.edge_rows.to_dict("records"):
             adj.setdefault(r["src"], []).append(r["dst"])
             adj.setdefault(r["dst"], []).append(r["src"])
-        assert list(index.ids) == sorted(r["id"] for r in g1.nodes.collect())
+        assert list(index.ids) == sorted(g1.node_rows["id"])
         for i, u in enumerate(index.ids):
             nbrs = index.targets[index.offsets[i] : index.offsets[i + 1]]
             assert [index.ids[j] for j in nbrs] == sorted(adj.get(u, []))
@@ -352,16 +356,14 @@ class TestGraphOps:
             G.GraphIndex.from_neighbours(["a", "b"], [["b"], ["z"]])
 
     def test_subgraph_induced(self, spark, g1):
-        keep = g1.nodes.limit(5).select("id")
-        sub = g1.subgraph(keep)
-        kept = {r["id"] for r in keep.collect()}
-        for r in sub.edges.collect():
+        kept = set(g1.node_rows["id"][:5])
+        sub = g1.induced(g1.node_rows["id"].isin(kept))
+        for r in sub.edge_rows.to_dict("records"):
             assert r["src"] in kept and r["dst"] in kept
 
     def test_without_nodes(self, spark, g1):
-        drop = g1.nodes.where(F.col("type") == G.COLUMN).select("id")
-        g2 = g1.without_nodes(drop)
-        assert g2.nodes.where(F.col("type") == G.COLUMN).count() == 0
+        g2 = g1.induced(g1.node_rows["type"] != G.COLUMN)
+        assert ids_of_type(g2, G.COLUMN) == set()
 
     def test_canonical_edges_dedup(self):
         out = canonical_rows(["b", "a", "a"], ["a", "b", "a"])
@@ -553,4 +555,3 @@ class TestBuildEdgeCases:
         )
         # the same rows reach Spark consumers
         assert sorted(map(tuple, g.nodes.collect())) == sorted(map(tuple, g.node_rows.itertuples(index=False)))
-        assert g.edges.count() == len(g.edge_rows)

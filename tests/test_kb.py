@@ -65,11 +65,9 @@ class TestPrepareSynonyms:
         assert syn.schema.simpleString() == "struct<variant:string,canonical:string>"
         assert syn.count() == 0
         ids = [data_node_id(t) for t in ("case", "x")] + ["t::1"]
-        nodes = spark.createDataFrame(
-            pd.DataFrame({"id": ids, "type": ["data", "data", "tuple"], "corpus": ["", "", "t"]})
-        )
-        edges = spark.createDataFrame(pd.DataFrame({"src": ids[:2], "dst": ids[2:] * 2}))
-        _, removed = merge_synonyms(Graph.from_frames(nodes, edges), syn)
+        nodes = pd.DataFrame({"id": ids, "type": ["data", "data", "tuple"], "corpus": ["", "", "t"]})
+        edges = pd.DataFrame({"src": ids[:2], "dst": ids[2:] * 2})
+        _, removed = merge_synonyms(Graph(spark, nodes, edges), syn)
         assert removed == 0
 
     def test_empty_frame(self, spark):

@@ -3,8 +3,8 @@
 Output must be a function of (data, config, seed) only: the core count of
 the master must not change the matches. The pipeline runs no Python UDF,
 so Spark must not start a ``pyspark.daemon`` worker pool either. Each
-subprocess runs the pipeline on a small IMDb WT input (expansion and
-numeric bucketing on) and prints its match digest and the Python processes
+subprocess runs the pipeline on a small IMDb WT input (expansion, numeric
+bucketing and SSuM(0.1) compression on) and prints its match digest and the Python processes
 below it in the process tree; idle Python workers live until the session
 stops, so they are still there when it counts.
 
@@ -53,7 +53,8 @@ def child(master: str) -> None:
     spark.sparkContext.setLogLevel("ERROR")
     sc = imdb.generate(spark, scale=0.08, seed=7)
     cfg = TDMatchConfig(
-        num_walks=8, walk_length=8, vector_size=16, k=5, expand=True, bucket_numeric=True
+        num_walks=8, walk_length=8, vector_size=16, k=5, expand=True, bucket_numeric=True,
+        compress=("ssum", 0.1),
     )
     res = run_tdmatch(
         spark, sc.reviews, sc.movies_wt, config=cfg,

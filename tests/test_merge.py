@@ -16,6 +16,7 @@ from repro.core.merge import (
     numeric_terms,
     synonym_pairs_from_embeddings,
 )
+from tests.helpers import symmetric_edges
 
 
 @pytest.fixture(scope="module")
@@ -96,13 +97,13 @@ class TestMergeNumeric:
         merged, removed = merge_numeric_buckets(num_graph, width=5.0)
         assert removed > 0
         # 10..14 land in one bucket node
-        ids = {r["id"] for r in merged.nodes.collect()}
+        ids = set(merged.node_rows["id"])
         assert data_node_id("10") not in ids
         assert any(i.startswith("d::num[") for i in ids)
 
     def test_edges_rewired(self, num_graph):
         merged, _ = merge_numeric_buckets(num_graph, width=5.0)
-        edges = {(r["src"], r["dst"]) for r in merged.symmetric_edges().collect()}
+        edges = symmetric_edges(merged)
         bucket_nodes = {s for s, d in edges if s.startswith("d::num[")}
         # the sentence "row1 had 10" now connects to the bucket node
         assert any(("s::1", b) in edges for b in bucket_nodes)
@@ -125,7 +126,7 @@ class TestApplyMapping:
             {"old_id": [data_node_id("row1")], "new_id": [data_node_id("rowx")]}
         )
         out, removed = apply_node_mapping(num_graph, mapping)
-        ids = {r["id"] for r in out.nodes.collect()}
+        ids = set(out.node_rows["id"])
         assert data_node_id("row1") not in ids
         assert data_node_id("rowx") in ids
         assert removed == 0  # rename: one out, one in
@@ -149,7 +150,7 @@ class TestApplyMapping:
             {"old_id": [data_node_id("alpha")], "new_id": [data_node_id("beta")]}
         )
         out, _ = apply_node_mapping(g, mapping)
-        for r in out.edges.collect():
+        for r in out.edge_rows.to_dict("records"):
             assert r["src"] != r["dst"]
 
     def test_oracle_edge_rewrite(self, spark, num_graph):
@@ -168,7 +169,7 @@ class TestApplyMapping:
                      LEFT JOIN m m2 ON e.dst = m2.old_id
             ) WHERE ns <> nd
         """
-        assert_equivalent(out.edges, sql, e=num_graph.edges.toPandas(), m=mapping_pdf)
+        assert_equivalent(out.edge_rows, sql, e=num_graph.edge_rows, m=mapping_pdf)
 
 
 class TestMergeSynonyms:
@@ -177,7 +178,7 @@ class TestMergeSynonyms:
             pd.DataFrame({"variant": ["row1"], "canonical": ["row9"]})
         )
         out, removed = merge_synonyms(num_graph, syn)
-        ids = {r["id"] for r in out.nodes.collect()}
+        ids = set(out.node_rows["id"])
         assert data_node_id("row1") not in ids and removed == 1
 
     def test_transitive_chain(self, spark, num_graph):
@@ -185,7 +186,7 @@ class TestMergeSynonyms:
             pd.DataFrame({"variant": ["row1", "row2"], "canonical": ["row2", "row3"]})
         )
         out, _ = merge_synonyms(num_graph, syn)
-        ids = {r["id"] for r in out.nodes.collect()}
+        ids = set(out.node_rows["id"])
         assert data_node_id("row1") not in ids
         assert data_node_id("row2") not in ids
         assert data_node_id("row3") in ids

@@ -21,6 +21,10 @@ The package has one Word2Vec trainer, the compiled skip-gram kernel of
 ``core/embed.py``. The fourth guard lists every import of a Spark ML
 module: the only one left is the supervised baselines' logistic
 regression (``baselines/rank.py``).
+
+Expansion and both compressions (MSP and SSuM) run on the graph's driver
+rows. The fifth guard lists every import of ``pyspark`` in their modules,
+``core/expand.py`` and ``core/compress.py``.
 """
 import ast
 from pathlib import Path
@@ -176,3 +180,44 @@ def test_spark_ml_guard_flags_each_form(tmp_path):
     assert [f.split(":")[1] for f in spark_ml_imports(tmp_path)] == [
         "pyspark.ml.feature", "pyspark.ml.feature", "pyspark.ml", "pyspark.ml", "pyspark.ml",
     ]
+
+
+DRIVER_MODULES = ("expand", "compress")
+
+
+def pyspark_imports(paths: List[Path]) -> List[str]:
+    """``file:line`` of every import of ``pyspark`` or a module under it
+    among ``paths``."""
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            if any(m == "pyspark" or m.startswith("pyspark.") for m in mods):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_driver_stages_import_no_pyspark():
+    paths = [SRC / "core" / f"{m}.py" for m in DRIVER_MODULES]
+    assert all(p.is_file() for p in paths)
+    assert pyspark_imports(paths) == []
+
+
+def test_pyspark_guard_flags_each_form(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "import pyspark\n"
+        "from pyspark.sql import functions as F\n"
+        "import os, pyspark.sql as ps\n"
+        "from pyspark import sql\n"
+        "def f():\n"
+        "    from pyspark.sql.types import DataType\n"
+        "from . import pyspark\n"
+        "from .graph import Graph\n"
+        "import pysparkling\n"
+    )
+    assert pyspark_imports([tmp_path / "m.py"]) == [f"m.py:{i}" for i in (1, 2, 3, 4, 6)]

@@ -1,13 +1,13 @@
 """DuckDB-oracle equivalence checks for the relational stages of the
 pipeline: graph construction joins, filtering semantics, induced subgraphs,
-Algorithm 2's expansion and sink removal, node mappings, bucket assignment,
-and ranking aggregation."""
+Algorithm 2's expansion and sink removal, node mappings, SSuM's merge,
+bucket assignment, and ranking aggregation."""
 import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from pyspark.sql import functions as F
 
+from repro.core.compress import ssum_like_compress
 from repro.core.expand import expand_graph
 from repro.core.graph import (
     DATA_PREFIX,
@@ -49,15 +49,11 @@ class TestGraphOracle:
         """Tuple-term edges == SQL unnest of per-cell tokens (max_n=1)."""
         table, text = corpora
         g = build_graph(spark, table, text, max_n=1, auto_order=False, filter_second=False)
-        got = (
-            g.symmetric_edges()
-            .where(
-                F.col("src").startswith("t::") & F.col("dst").startswith(DATA_PREFIX)
-            )
-            .select(
-                F.expr("substring(src, 4)").alias("tid"),
-                F.expr(f"substring(dst, {len(DATA_PREFIX) + 1})").alias("term"),
-            )
+        e = g.edge_rows
+        sym = pd.concat([e, e.rename(columns={"src": "dst", "dst": "src"})])
+        sym = sym[sym["src"].str.startswith("t::") & sym["dst"].str.startswith(DATA_PREFIX)]
+        got = pd.DataFrame(
+            {"tid": sym["src"].str[len("t::") :], "term": sym["dst"].str[len(DATA_PREFIX) :]}
         )
         tbl = table.df.toPandas()
         sql = """
@@ -73,9 +69,8 @@ class TestGraphOracle:
         """§II-B filtering == SQL semi-join of second-corpus terms on first."""
         table, text = corpora
         g = build_graph(spark, table, text, max_n=1, auto_order=False, filter_second=True)
-        got = g.nodes.where(F.col("type") == "data").select(
-            F.expr(f"substring(id, {len(DATA_PREFIX) + 1})").alias("term")
-        )
+        nodes = g.node_rows
+        got = pd.DataFrame({"term": nodes.loc[nodes["type"] == "data", "id"].str[len(DATA_PREFIX) :]})
         tbl, txt = table.df.toPandas(), text.df.toPandas()
         sql = """
             WITH first_terms AS (
@@ -91,9 +86,8 @@ class TestGraphOracle:
         table, text = corpora
         g = build_graph(spark, table, text, max_n=1, auto_order=False, filter_second=False)
         fg = filter_to_term_corpus(g)
-        got = fg.nodes.where(F.col("type") == "data").select("id")
-        edges = g.edges.toPandas()
-        nodes = g.nodes.toPandas()
+        got = fg.node_rows.loc[fg.node_rows["type"] == "data", ["id"]]
+        edges, nodes = g.edge_rows, g.node_rows
         sql = """
             WITH sym AS (
               SELECT src, dst FROM edges UNION ALL SELECT dst, src FROM edges
@@ -109,8 +103,8 @@ class TestGraphOracle:
 
 
 class TestSubgraphOracle:
-    """subgraph / without_nodes == SQL semi / anti joins; the id lists hold
-    duplicates and ids absent from the graph."""
+    """``induced`` on an id list and on its complement == SQL semi / anti
+    joins; the id lists hold duplicates and ids absent from the graph."""
 
     EDGES_SQL = """
         WITH kept AS ({kept})
@@ -126,22 +120,22 @@ class TestSubgraphOracle:
 
     @pytest.fixture(scope="class")
     def ids(self, graph):
-        every_other = sorted(r["id"] for r in graph.nodes.collect())[::2]
+        every_other = sorted(graph.node_rows["id"])[::2]
         return pd.DataFrame({"id": every_other + every_other[:3] + ["absent::1", "absent::1"]})
 
-    def test_subgraph(self, spark, graph, ids):
-        sub = graph.subgraph(spark.createDataFrame(ids))
+    def test_subgraph(self, graph, ids):
+        sub = graph.induced(graph.node_rows["id"].isin(ids["id"]))
         kept = "SELECT n.* FROM nodes n SEMI JOIN k USING (id)"
-        nodes, edges = graph.nodes.toPandas(), graph.edges.toPandas()
-        assert_equivalent(sub.nodes, kept, nodes=nodes, k=ids)
-        assert_equivalent(sub.edges, self.EDGES_SQL.format(kept=kept), nodes=nodes, edges=edges, k=ids)
+        nodes, edges = graph.node_rows, graph.edge_rows
+        assert_equivalent(sub.node_rows, kept, nodes=nodes, k=ids)
+        assert_equivalent(sub.edge_rows, self.EDGES_SQL.format(kept=kept), nodes=nodes, edges=edges, k=ids)
 
-    def test_without_nodes(self, spark, graph, ids):
-        sub = graph.without_nodes(spark.createDataFrame(ids))
+    def test_without_nodes(self, graph, ids):
+        sub = graph.induced(~graph.node_rows["id"].isin(ids["id"]))
         kept = "SELECT n.* FROM nodes n ANTI JOIN k USING (id)"
-        nodes, edges = graph.nodes.toPandas(), graph.edges.toPandas()
-        assert_equivalent(sub.nodes, kept, nodes=nodes, k=ids)
-        assert_equivalent(sub.edges, self.EDGES_SQL.format(kept=kept), nodes=nodes, edges=edges, k=ids)
+        nodes, edges = graph.node_rows, graph.edge_rows
+        assert_equivalent(sub.node_rows, kept, nodes=nodes, k=ids)
+        assert_equivalent(sub.edge_rows, self.EDGES_SQL.format(kept=kept), nodes=nodes, edges=edges, k=ids)
 
 
 TERMS = ["a", "b", "c", "d", "e"]
@@ -213,12 +207,12 @@ class TestExpandOracle:
             out = expand_graph(graph, kb_df, sink_scope=scope)
             with_sinks = self.SQL.format(sinks=sinks)
             kept = with_sinks + "SELECT * FROM kept WHERE id NOT IN (SELECT id FROM sinks)"
-            assert_equivalent(out.nodes, kept, nodes=nodes, edges=edges, kb=kb)
+            assert_equivalent(out.node_rows, kept, nodes=nodes, edges=edges, kb=kb)
             kept_edges = with_sinks + """
                 SELECT src, dst FROM all_edges
                 WHERE src NOT IN (SELECT id FROM sinks) AND dst NOT IN (SELECT id FROM sinks)
             """
-            assert_equivalent(out.edges, kept_edges, nodes=nodes, edges=edges, kb=kb)
+            assert_equivalent(out.edge_rows, kept_edges, nodes=nodes, edges=edges, kb=kb)
 
 
 class TestMappingOracle:
@@ -260,23 +254,65 @@ class TestMappingOracle:
         )
         out, got_removed = apply_node_mapping(Graph(spark, nodes, edges, "t"), m)
         assert got_removed == removed
-        assert_equivalent(out.nodes, self.NODES_SQL, nodes=nodes, m=m)
-        assert_equivalent(out.edges, self.EDGES_SQL, e=edges, m=m)
+        assert_equivalent(out.node_rows, self.NODES_SQL, nodes=nodes, m=m)
+        assert_equivalent(out.edge_rows, self.EDGES_SQL, e=edges, m=m)
+
+
+class TestSsumOracle:
+    """SSuM's merge (ratio 1, so every edge stays) == SQL: the data nodes
+    with at least one edge, grouped by their sorted neighbour list, each
+    mapped to the smallest id of its group; then the mapping's rewrite,
+    without the data nodes that have no edge."""
+
+    MAPPING = """
+        WITH sym AS (SELECT src AS id, dst AS nbr FROM e UNION ALL SELECT dst, src FROM e),
+        sig AS (
+          SELECT id, list_sort(list(nbr)) AS nbrs FROM sym
+          WHERE id IN (SELECT id FROM nodes WHERE type = 'data') GROUP BY id
+        ), m AS (SELECT id AS old_id, min(id) OVER (PARTITION BY nbrs) AS new_id FROM sig)
+    """
+    NODES_SQL = MAPPING + """
+        SELECT * FROM nodes
+        WHERE (type <> 'data' OR id IN (SELECT id FROM sym))
+          AND id NOT IN (SELECT old_id FROM m WHERE old_id <> new_id)
+    """
+    EDGES_SQL = MAPPING + TestMappingOracle.EDGES_SQL
+
+    def check(self, spark, nodes, edges) -> Graph:
+        out = ssum_like_compress(Graph(spark, nodes, edges, "t"), ratio=1.0, seed=0)
+        assert_equivalent(out.node_rows, self.NODES_SQL, nodes=nodes, e=edges)
+        assert_equivalent(out.edge_rows, self.EDGES_SQL, nodes=nodes, e=edges)
+        return out
+
+    def test_built_graph(self, spark, corpora):
+        g = build_graph(spark, *corpora, max_n=1, auto_order=False, filter_second=False)
+        self.check(spark, g.node_rows, g.edge_rows)
+
+    def test_three_nodes_merge_into_the_smallest(self, spark):
+        ids = ["s::1", "t::1"] + [DATA_PREFIX + t for t in "dcbae"]
+        nodes = pd.DataFrame(
+            {"id": ids, "type": ["text", "tuple"] + ["data"] * 5, "corpus": ["s", "t"] + [""] * 5}
+        )
+        # b, c and d see s::1 and t::1; a sees s::1 only; e has no edge
+        pairs = [(d, m) for d in "bcd" for m in ("s::1", "t::1")] + [("a", "s::1")]
+        edges = pd.DataFrame([(m, DATA_PREFIX + d) for d, m in pairs], columns=["src", "dst"])
+        out = self.check(spark, nodes, edges)
+        assert sorted(out.node_rows["id"]) == ["d::a", "d::b", "s::1", "t::1"]
+
+    @given(graph_and_kb())
+    @settings(max_examples=25, deadline=None)
+    def test_merge_equals_sql(self, spark, case):
+        nodes, edges, _ = case
+        self.check(spark, nodes, edges)
 
 
 class TestBucketOracle:
-    def test_bucket_assignment_matches_sql(self, spark):
+    def test_bucket_assignment_matches_sql(self):
         """Python bucket ids == SQL floor((v - min)/width) binning."""
         vals = [10.0, 11.5, 14.9, 15.0, 22.0, 100.0]
         width, origin = 5.0, 10.0
-        got = spark.createDataFrame(
-            pd.DataFrame(
-                {
-                    "v": vals,
-                    "bucket": [bucket_label(v, width, origin) for v in vals],
-                }
-            )
-        ).select("v", F.expr("cast(regexp_extract(bucket, 'num\\\\[([-0-9.e+]+),', 1) as double)").alias("lo"))
+        buckets = pd.Series([bucket_label(v, width, origin) for v in vals])
+        got = pd.DataFrame({"v": vals, "lo": buckets.str.extract(r"num\[([-0-9.e+]+),")[0].astype(float)})
         sql = """
             SELECT v, 10.0 + 5.0 * floor((v - 10.0) / 5.0) AS lo
             FROM (SELECT unnest([10.0, 11.5, 14.9, 15.0, 22.0, 100.0]) AS v)
@@ -285,7 +321,7 @@ class TestBucketOracle:
 
 
 class TestRankingOracle:
-    def test_haspositive_matches_sql(self, spark):
+    def test_haspositive_matches_sql(self):
         ranked = pd.DataFrame(
             {
                 "query": ["q1", "q1", "q2", "q2"],
@@ -297,7 +333,7 @@ class TestRankingOracle:
         from repro.core.metrics import ranking_metrics_pdf
 
         m = ranking_metrics_pdf(ranked, truth, ks=(1,))
-        got = spark.createDataFrame(pd.DataFrame({"hp": [m["HasPositive@1"]]}))
+        got = pd.DataFrame({"hp": [m["HasPositive@1"]]})
         sql = """
             SELECT COUNT(DISTINCT r.query) * 1.0 /
                    (SELECT COUNT(DISTINCT query) FROM truth) AS hp

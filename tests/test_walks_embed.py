@@ -19,7 +19,6 @@ from repro.core import walks as W
 
 from repro.core.embed import huffman, mean_pool, skipgram, train_embeddings, train_token_embeddings
 from repro.core.graph import (
-    Graph,
     GraphIndex,
     TableCorpus,
     TextCorpus,
@@ -85,8 +84,13 @@ class TestGenerateWalks:
             out = generate_walks(graph, num_walks=2, walk_length=5, seed=1)
             return [r["walk"] for r in out.collect()]
 
-        ref = walks(Graph.from_frames(g.nodes.coalesce(1), g.edges.coalesce(1), g.term_corpus))
-        assert walks(Graph.from_frames(g.nodes.repartition(7), g.edges.repartition(5), g.term_corpus)) == ref
+        ref = walks(g)
+        for seed in (0, 1):
+            shuffled = g.with_rows(
+                g.node_rows.sample(frac=1, random_state=seed),
+                g.edge_rows.sample(frac=1, random_state=seed + 1),
+            )
+            assert walks(shuffled) == ref
         before = spark.conf.get("spark.sql.shuffle.partitions")
         try:
             for n in ("3", "64"):
@@ -95,7 +99,7 @@ class TestGenerateWalks:
         finally:
             spark.conf.set("spark.sql.shuffle.partitions", before)
         # pass by pass, each pass in node-id order
-        ids = sorted(r["id"] for r in g.nodes.collect())
+        ids = sorted(g.node_rows["id"])
         assert [w[0] for w in ref] == ids + ids
 
     def test_partitions_fixed(self, g):
@@ -104,22 +108,22 @@ class TestGenerateWalks:
         assert walks.rdd.getNumPartitions() == 1
 
     def test_empty_graph(self, spark, g):
-        empty = Graph.from_frames(g.nodes.limit(0), g.edges.limit(0), g.term_corpus)
+        empty = g.with_rows(g.node_rows[:0], g.edge_rows[:0])
         walks = generate_walks(empty, num_walks=2, walk_length=5, seed=0)
         assert walks.count() == 0
         assert walks.schema.simpleString() == "struct<walk:array<string>>"
         assert "LogicalRDD" not in walks._jdf.queryExecution().analyzed().toString()
 
     def test_isolated_nodes_only(self, spark, g):
-        lonely = Graph.from_frames(g.nodes, g.edges.limit(0), g.term_corpus)
+        lonely = g.with_rows(g.node_rows, g.edge_rows[:0])
         out = generate_walks(lonely, num_walks=2, walk_length=5, seed=0)
         got = [r["walk"] for r in out.collect()]
-        ids = sorted(r["id"] for r in g.nodes.collect())
+        ids = sorted(g.node_rows["id"])
         assert got == [[i] for i in ids + ids]
 
     def test_equals_walk_from(self, g):
         adj = adjacency(g)
-        ids = sorted(r["id"] for r in g.nodes.collect())
+        ids = sorted(g.node_rows["id"])
         want = [
             walk_from(adj, s, 6, np.random.default_rng(W._walk_seed(3, s, w)))
             for w in range(4)
@@ -135,7 +139,7 @@ class TestGenerateWalks:
 
     def test_every_node_starts_walks(self, g):
         starts = {r["walk"][0] for r in generate_walks(g, num_walks=1, walk_length=3, seed=0).collect()}
-        assert starts == {r["id"] for r in g.nodes.collect()}
+        assert starts == set(g.node_rows["id"])
 
 
 class TestRngReplay:
@@ -562,7 +566,7 @@ class TestAdapters:
         assert tokens.dtype == np.int32
 
     def test_empty_walks(self, spark, g):
-        empty = Graph.from_frames(g.nodes.limit(0), g.edges.limit(0), g.term_corpus)
+        empty = g.with_rows(g.node_rows[:0], g.edge_rows[:0])
         emb = train_embeddings(generate_walks(empty, num_walks=2, walk_length=5, seed=0))
         assert emb.count() == 0
         assert emb.schema.simpleString() == "struct<node:string,vector:array<double>>"
@@ -605,9 +609,9 @@ class TestFilterToTermCorpus:
             spark, TableCorpus("t", t, "tid", ["a"]), TextCorpus("s", s, "sid", "text"),
             max_n=1, auto_order=False, filter_second=False,
         )
-        assert data_node_id("zulu") in {r["id"] for r in g.nodes.collect()}
+        assert data_node_id("zulu") in set(g.node_rows["id"])
         fg = filter_to_term_corpus(g)
-        ids = {r["id"] for r in fg.nodes.collect()}
+        ids = set(fg.node_rows["id"])
         assert data_node_id("zulu") not in ids
         assert data_node_id("alpha") in ids
 
@@ -622,7 +626,7 @@ class TestFilterToTermCorpus:
             pd.DataFrame({"subject": ["zulu"], "object": ["alpha"]})
         )
         fg = filter_to_term_corpus(g, kb=kb)
-        assert data_node_id("zulu") in {r["id"] for r in fg.nodes.collect()}
+        assert data_node_id("zulu") in set(fg.node_rows["id"])
 
     def test_matches_build_time_filtering(self, spark):
         t = spark.createDataFrame(
@@ -637,9 +641,7 @@ class TestFilterToTermCorpus:
         late = filter_to_term_corpus(
             build_graph(spark, tc, sc, max_n=1, auto_order=False, filter_second=False)
         )
-        assert {r["id"] for r in built.nodes.collect()} == {
-            r["id"] for r in late.nodes.collect()
-        }
-        eb = {(r["src"], r["dst"]) for r in built.edges.collect()}
-        el = {(r["src"], r["dst"]) for r in late.edges.collect()}
+        assert set(built.node_rows["id"]) == set(late.node_rows["id"])
+        eb = set(built.edge_rows.itertuples(index=False, name=None))
+        el = set(late.edge_rows.itertuples(index=False, name=None))
         assert eb == el
