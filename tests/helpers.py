@@ -5,7 +5,7 @@ from typing import Dict, List, Set, Tuple
 def adjacency(graph) -> Dict[str, List[str]]:
     """``graph.index()`` as a dict: every node id -> its neighbour ids,
     ascending (isolated nodes map to ``[]``); the input of the pure-Python
-    references ``walk_from`` and ``bfs_parents``."""
+    reference ``bfs_parents`` and of the walk-edge checks."""
     index = graph.index()
     return {
         u: [index.ids[j] for j in index.targets[index.offsets[i] : index.offsets[i + 1]]]

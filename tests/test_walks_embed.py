@@ -15,7 +15,6 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core import embed
-from repro.core import walks as W
 
 from repro.core.embed import huffman, mean_pool, skipgram, train_embeddings, train_token_embeddings
 from repro.core.graph import (
@@ -27,7 +26,7 @@ from repro.core.graph import (
     filter_to_term_corpus,
 )
 from repro.core.pipeline import TDMatchConfig, graph_vectors
-from repro.core.walks import generate_walks, walk_corpus, walk_from
+from repro.core.walks import generate_walks, walk_corpus
 from tests.helpers import adjacency
 
 
@@ -43,28 +42,6 @@ def g(spark):
         spark, TableCorpus("t", t, "tid", ["a"]), TextCorpus("s", s, "sid", "text"),
         max_n=1, auto_order=False,
     )
-
-
-class TestWalkFrom:
-    def test_respects_adjacency(self):
-        adj = {"a": ["b"], "b": ["a", "c"], "c": ["b"]}
-        rng = np.random.default_rng(0)
-        w = walk_from(adj, "a", 10, rng)
-        for u, v in zip(w, w[1:]):
-            assert v in adj[u]
-
-    def test_isolated_node_stops(self):
-        w = walk_from({"x": []}, "x", 5, np.random.default_rng(0))
-        assert w == ["x"]
-
-    def test_length_bound(self):
-        adj = {"a": ["b"], "b": ["a"]}
-        w = walk_from(adj, "a", 7, np.random.default_rng(1))
-        assert len(w) == 7
-
-    def test_starts_at_start(self):
-        adj = {"a": ["b"], "b": ["a"]}
-        assert walk_from(adj, "b", 3, np.random.default_rng(2))[0] == "b"
 
 
 class TestGenerateWalks:
@@ -121,17 +98,6 @@ class TestGenerateWalks:
         ids = sorted(g.node_rows["id"])
         assert got == [[i] for i in ids + ids]
 
-    def test_equals_walk_from(self, g):
-        adj = adjacency(g)
-        ids = sorted(g.node_rows["id"])
-        want = [
-            walk_from(adj, s, 6, np.random.default_rng(W._walk_seed(3, s, w)))
-            for w in range(4)
-            for s in ids
-        ]
-        got = [r["walk"] for r in generate_walks(g, num_walks=4, walk_length=6, seed=3).collect()]
-        assert got == want
-
     def test_seed_changes_walks(self, g):
         a = sorted(tuple(r["walk"]) for r in generate_walks(g, num_walks=2, walk_length=8, seed=1).collect())
         b = sorted(tuple(r["walk"]) for r in generate_walks(g, num_walks=2, walk_length=8, seed=2).collect())
@@ -142,39 +108,48 @@ class TestGenerateWalks:
         assert starts == set(g.node_rows["id"])
 
 
-class TestRngReplay:
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1])
-    def test_equals_random_raw(self, seed):
-        want = np.random.default_rng(seed).bit_generator.random_raw(9)
-        got = W.default_rng_raw(np.array([seed, 5], dtype=np.uint64), 9)[0]
-        assert got.tolist() == want.tolist()
+class TestWalkCorpus:
+    def test_order_preserving_renaming(self):
+        # the walks see ids only through their order
+        ids, edges = list("abcdef"), ["ab", "bc", "ca", "cd", "de"]  # "f" is isolated
 
-    def test_forced_rejection_falls_back(self, monkeypatch):
-        # "a" has degree 3: a raw draw of 0 gives m = 0, whose low word 0 is
-        # below 2**32 mod 3 = 1, so NumPy would draw again
-        adj = {"a": ["b", "c", "d"], "b": ["a"], "c": ["a"], "d": ["a"]}
-        index = GraphIndex.from_neighbours(list(adj), list(adj.values()))
-        replay, fallbacks = W.default_rng_raw, []
+        def corpus(rename):
+            index = GraphIndex.from_edges(
+                [rename(i) for i in ids], [rename(u) for u, _ in edges], [rename(v) for _, v in edges]
+            )
+            tokens, offsets = walk_corpus(index, num_walks=3, walk_length=7, seed=5)
+            return tokens.tobytes(), offsets.tobytes()
 
-        def zero_first(seeds, n):
-            out = replay(seeds, n)
-            out[0, 0] = 0  # the first walk, from "a"
-            return out
+        want = corpus(str)
+        for rename in (str.upper, lambda i: f"node::{i}", lambda i: f"{ord(i) * 37:06d}"):
+            assert corpus(rename) == want
 
-        def spy(*args):
-            fallbacks.append(args[1])
-            return walk_from(*args)
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_uniform_neighbour(self, d):
+        leaves = [f"leaf{j}" for j in range(d)]
+        index = GraphIndex.from_edges(["hub"] + leaves, ["hub"] * d, leaves)
+        tokens, offsets = walk_corpus(index, num_walks=1000, walk_length=12, seed=d)
+        hub = index.ids.tolist().index("hub")
+        step = np.ones(len(tokens) - 1, dtype=bool)
+        step[offsets[1:-1] - 1] = False  # no step from one walk's end to the next start
+        src, dst = tokens[:-1][step], tokens[1:][step]
+        counts = np.bincount(dst[src == hub], minlength=d + 1)
+        n = int((src == hub).sum())
+        assert n >= 20_000 and counts[hub] == 0
+        sd = math.sqrt(n / d * (1 - 1 / d))
+        assert np.abs(np.delete(counts, hub) - n / d).max() <= 5 * sd
 
-        monkeypatch.setattr(W, "default_rng_raw", zero_first)
-        monkeypatch.setattr(W, "walk_from", spy)
-        walks, lengths = W.walk_pass(index, walk_idx=2, walk_length=7, seed=11)
-        assert fallbacks == [0]
-        want = [
-            walk_from(adj, s, 7, np.random.default_rng(W._walk_seed(11, s, 2)))
-            for s in sorted(adj)
-        ]
-        assert [[index.ids[j] for j in row] for row in walks] == want
-        assert (lengths == 7).all()
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_not_the_compression_stream(self, seed):
+        # MSP and SSuM draw from default_rng(seed); the walks must not replay it
+        ids = [f"p{j}" for j in range(6)]
+        index = GraphIndex.from_edges(ids, ids[:-1], ids[1:])
+        tokens, _ = walk_corpus(index, num_walks=1, walk_length=8, seed=seed)
+        bare, deg = np.random.default_rng(seed), index.degrees()
+        steps = [np.arange(6)]
+        for _ in range(7):
+            steps.append(index.targets[index.offsets[steps[-1]] + bare.integers(deg[steps[-1]])])
+        assert tokens.tolist() != np.stack(steps, axis=1).ravel().tolist()
 
 
 class TestEmbeddings:
