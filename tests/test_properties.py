@@ -12,7 +12,8 @@ from repro.core.compress import (
 from repro.core.metrics import node_score
 from repro.core.preprocess import TERM_SEP, terms
 from repro.core.graph import GraphIndex
-from repro.core.walks import walk_corpus
+from repro.core.walks import _WALK_STREAM, walk_corpus
+from tests.helpers import walk_from
 
 # random small graphs as edge lists over a fixed node universe
 NODES = list("abcdefgh")
@@ -152,7 +153,31 @@ class TestGraphIndexProperties:
         assert empty.offsets.tolist() == [0] and len(empty.targets) == 0
 
 
+def _walks_one_at_a_time(adj, num_walks, length, seed):
+    """Reference for ``walk_corpus``: the same generator and lock-step draws,
+    each walk a list grown from ``adj`` (neighbours ascending, as indexed)."""
+    rng = np.random.default_rng([seed, _WALK_STREAM])
+    walks = [[s] for _ in range(num_walks) for s in sorted(adj)]
+    moving = [w for w in walks if adj[w[0]]]
+    for _ in range(1, length):
+        picks = rng.integers(np.array([len(adj[w[-1]]) for w in moving], dtype=np.int64))
+        for w, p in zip(moving, picks):
+            w.append(sorted(adj[w[-1]])[p])
+    return walks
+
+
 class TestWalkProperties:
+    @given(edges_st, st.sampled_from(NODES), st.integers(min_value=1, max_value=12),
+           st.integers(min_value=0, max_value=5))
+    @settings(max_examples=60, deadline=None)
+    def test_walk_valid(self, edges, start, length, seed):
+        adj = _adj(edges)
+        w = walk_from(adj, start, length, seed)
+        assert w[0] == start
+        assert 1 <= len(w) <= length
+        for u, v in zip(w, w[1:]):
+            assert v in adj[u]
+
     @given(edges_st, st.sampled_from([1, 2, 7, 12]), st.sampled_from([0, 1, 3]),
            st.integers(min_value=0, max_value=2**40))
     @settings(max_examples=80, deadline=None)
@@ -170,6 +195,19 @@ class TestWalkProperties:
             assert len(w) == (length if adj[w[0]] else 1)
             for u, v in zip(w, w[1:]):
                 assert v in adj[u]
+
+    @given(edges_st, st.sampled_from([1, 2, 7, 12]), st.sampled_from([0, 1, 3]),
+           st.integers(min_value=0, max_value=2**40))
+    @settings(max_examples=80, deadline=None)
+    def test_walk_pass_equals_walk_from(self, edges, length, num_walks, seed):
+        # every pass, walk by walk, equals the walks grown one at a time
+        adj = _adj(edges)
+        adj["a"] = sorted(adj["a"] + ["leaf"])
+        adj.update(leaf=["a"], iso=[])
+        index = GraphIndex.from_neighbours(list(adj), [adj[k] for k in adj])
+        tokens, offsets = walk_corpus(index, num_walks=num_walks, walk_length=length, seed=seed)
+        got = [index.ids[tokens[a:b]].tolist() for a, b in zip(offsets, offsets[1:])]
+        assert got == _walks_one_at_a_time(adj, num_walks, length, seed)
 
 
 paths_st = st.lists(st.sampled_from(list("xyzuvw")), min_size=1, max_size=6).map(tuple)

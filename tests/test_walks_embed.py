@@ -27,7 +27,7 @@ from repro.core.graph import (
 )
 from repro.core.pipeline import TDMatchConfig, graph_vectors
 from repro.core.walks import generate_walks, walk_corpus
-from tests.helpers import adjacency
+from tests.helpers import adjacency, walk_from
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +42,27 @@ def g(spark):
         spark, TableCorpus("t", t, "tid", ["a"]), TextCorpus("s", s, "sid", "text"),
         max_n=1, auto_order=False,
     )
+
+
+class TestWalkFrom:
+    def test_respects_adjacency(self):
+        adj = {"a": ["b"], "b": ["a", "c"], "c": ["b"]}
+        w = walk_from(adj, "a", 10, seed=0)
+        for u, v in zip(w, w[1:]):
+            assert v in adj[u]
+
+    def test_isolated_node_stops(self):
+        w = walk_from({"x": []}, "x", 5, seed=0)
+        assert w == ["x"]
+
+    def test_length_bound(self):
+        adj = {"a": ["b"], "b": ["a"]}
+        w = walk_from(adj, "a", 7, seed=1)
+        assert len(w) == 7
+
+    def test_starts_at_start(self):
+        adj = {"a": ["b"], "b": ["a"]}
+        assert walk_from(adj, "b", 3, seed=2)[0] == "b"
 
 
 class TestGenerateWalks:
