@@ -7,12 +7,13 @@
  * n * (s + 1) / SHARDS) and trains them on its own thread, on its own copy
  * of syn0 and syn1 and with its own splitmix64 stream. Training goes in
  * rounds. In each, every shard trains its next chunk of whole sentences,
- * at least ROUND_WORDS words unless its sentences run out; then, at a
- * barrier, every row that any shard changed becomes global + sum_s
- * (copy_s - global), summed in shard order, and the merged row is copied
- * back into every shard's copy. The chunks and each round's learning rate
- * are fixed before the threads start. SHARDS is a constant, never the core
- * count, and no result depends on which thread runs first.
+ * at least ROUND_WORDS words, or as many words as the vocabulary has when
+ * that is fewer, unless its sentences run out; then, at a barrier, every
+ * row that any shard changed becomes global + sum_s (copy_s - global),
+ * summed in shard order, and the merged row is copied back into every
+ * shard's copy. The chunks and each round's learning rate are fixed before
+ * the threads start. SHARDS is a constant, never the core count, and no
+ * result depends on which thread runs first.
  *
  * repro.core.embed compiles this file with `cc -O3 -ffp-contract=off
  * -pthread -shared -fPIC` and calls it through ctypes. No -ffast-math and
@@ -252,18 +253,18 @@ static void *run_shard(void *arg)
     return NULL;
 }
 
-/* Cut pieces [first, last) into rounds of at least ROUND_WORDS words (the
+/* Cut pieces [first, last) into rounds of at least chunk_words words (the
  * last may be shorter); writes the boundaries to cut (when not NULL) and
  * returns the number of rounds. */
 static int64_t cut_rounds(const int64_t *piece, const int64_t *piece_end, int64_t first,
-                          int64_t last, int64_t *cut)
+                          int64_t last, int64_t chunk_words, int64_t *cut)
 {
     int64_t rounds = 0, words = 0;
     if (cut)
         cut[0] = first;
     for (int64_t p = first; p < last; p++) {
         words += piece_end[p] - piece[p];
-        if (words >= ROUND_WORDS || p == last - 1) {
+        if (words >= chunk_words || p == last - 1) {
             rounds++;
             if (cut)
                 cut[rounds] = p + 1;
@@ -323,10 +324,13 @@ int sg_train(const int32_t *tokens, const int64_t *offsets, int64_t n_sentences,
         }
 
     /* the rounds: each shard's chunks, padded with empty ones to the
-     * longest shard's count, and each round's rate */
-    int64_t rounds = 0;
+     * longest shard's count, and each round's rate. A round's chunk has
+     * at most about one word per vocabulary word, so that on a small
+     * vocabulary the shards do not each change every row many times from
+     * the same start before their changes are summed. */
+    int64_t rounds = 0, chunk_words = n_words < ROUND_WORDS ? n_words : ROUND_WORDS;
     for (int s = 0; s < SHARDS; s++) {
-        int64_t r = cut_rounds(piece, piece_end, first[s], first[s + 1], NULL);
+        int64_t r = cut_rounds(piece, piece_end, first[s], first[s + 1], chunk_words, NULL);
         rounds = r > rounds ? r : rounds;
     }
     cut = malloc((size_t)SHARDS * (size_t)(rounds + 1) * sizeof(int64_t));
@@ -338,7 +342,8 @@ int sg_train(const int32_t *tokens, const int64_t *offsets, int64_t n_sentences,
     }
     for (int s = 0; s < SHARDS; s++) {
         int64_t *c = cut + (int64_t)s * (rounds + 1);
-        for (int64_t r = cut_rounds(piece, piece_end, first[s], first[s + 1], c); r < rounds; r++)
+        for (int64_t r = cut_rounds(piece, piece_end, first[s], first[s + 1], chunk_words, c);
+             r < rounds; r++)
             c[r + 1] = c[r];
         for (int64_t r = 0; r < rounds; r++)
             for (int64_t p = c[r]; p < c[r + 1]; p++)

@@ -11,8 +11,9 @@ word2vec.c's update with Spark ML's hyper-parameters, built with ``cc`` on
 first use in a process and called through ``ctypes`` on integer token ids.
 It trains a fixed number of contiguous sentence shards (four, a constant
 of the kernel, not the core count) on one thread each, each on its own
-copy of the weights, in rounds of about 256 words per shard; after every
-round each changed row becomes the global row plus the sum of the shards'
+copy of the weights, in rounds of about 256 words per shard, or about as
+many words as the vocabulary has when that is fewer; after every round
+each changed row becomes the global row plus the sum of the shards'
 changes to it, in shard order, and every copy takes the merged row. So the
 vectors are a function of the sentences and the seed, on any number of
 cores. ``run_tdmatch`` hands it the walks' node indices as they come out

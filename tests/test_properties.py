@@ -200,7 +200,8 @@ class TestWalkProperties:
            st.integers(min_value=0, max_value=2**40))
     @settings(max_examples=80, deadline=None)
     def test_walk_pass_equals_walk_from(self, edges, length, num_walks, seed):
-        # every pass, walk by walk, equals the walks grown one at a time
+        """``walk_corpus`` equals ``_walks_one_at_a_time``, walk by walk:
+        the same lock-step draws, each walk grown from the adjacency lists."""
         adj = _adj(edges)
         adj["a"] = sorted(adj["a"] + ["leaf"])
         adj.update(leaf=["a"], iso=[])

@@ -302,14 +302,15 @@ def reference_skipgram(sentences, *, vector_size, window, min_count, seed, max_i
         e = math.exp((2.0 * i / 1000 - 1.0) * 6)
         table.append(f32(e / (e + 1.0)))
 
-    # shard s: the pieces of its sentences, in rounds of >= ROUND_WORDS words
-    chunks = []
+    # shard s: the pieces of its sentences, in rounds of >= ROUND_WORDS
+    # words, or of >= n words when the vocabulary has fewer
+    chunk_words, chunks = min(ROUND_WORDS, n), []
     for s in range(SHARDS):
         shard = sents[len(sents) * s // SHARDS : len(sents) * (s + 1) // SHARDS]
         rounds, cur = [], []
         for piece in (x[i : i + 1000] for x in shard for i in range(0, len(x), 1000)):
             cur.append(piece)
-            if sum(map(len, cur)) >= ROUND_WORDS:
+            if sum(map(len, cur)) >= chunk_words:
                 rounds.append(cur)
                 cur = []
         chunks.append(rounds + [cur] if cur else rounds)
@@ -395,10 +396,24 @@ class TestSkipgramKernel:
 
     def test_sentence_longer_than_a_round(self):
         """A 700-token sentence is shard 1's whole first chunk while the
-        other shards train short sentences; shard 1 alone has a second."""
+        other shards train a few short sentences; shards 0 and 3 run out
+        a round before shards 1 and 2."""
         sents = _zipf_sentences(8, 30, 12)
         sents[7] = np.random.default_rng(8).integers(0, 15, size=700).tolist()
         kw = dict(vector_size=8, window=2, min_count=1, seed=4, max_iter=1)
+        ids, vecs = skipgram(*_corpus(sents), **kw)
+        want_ids, want = reference_skipgram(sents, **kw)
+        assert ids.tolist() == want_ids.tolist()
+        np.testing.assert_array_equal(vecs, want)
+
+    def test_vocabulary_larger_than_a_round_equals_reference(self):
+        """With more words in the vocabulary than ROUND_WORDS, a round
+        takes ROUND_WORDS words per shard; with fewer (the tests above),
+        as many as the vocabulary has."""
+        rng = np.random.default_rng(11)
+        sents = [rng.integers(0, 300, size=12).tolist() for _ in range(250)]
+        assert len({t for s in sents for t in s}) > ROUND_WORDS
+        kw = dict(vector_size=8, window=2, min_count=1, seed=7, max_iter=1)
         ids, vecs = skipgram(*_corpus(sents), **kw)
         want_ids, want = reference_skipgram(sents, **kw)
         assert ids.tolist() == want_ids.tolist()
