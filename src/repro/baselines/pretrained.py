@@ -6,7 +6,7 @@ vocabulary. Offline we reproduce that *property* (the thing the paper's
 comparisons hinge on) by training Word2Vec on a large synthetic general
 corpus over ``GENERAL_WORDS`` — with synonym-group members used
 interchangeably in the same contexts, so known synonyms genuinely land close
-in the space (which is what makes γ-calibration à la Wikipedia2Vec work).
+in the space, as they do in Wikipedia2Vec.
 
 ``sbe_match`` is the SentenceBERT stand-in: sentence embedding = mean of
 background word vectors; tokens outside the background vocabulary (all

@@ -75,13 +75,6 @@ def shortest_path_edges(
     return sorted(edges)
 
 
-def all_shortest_path_edges(
-    adj: Dict[str, List[str]], src: str, dst: str
-) -> List[Tuple[str, str]]:
-    """Edges lying on *any* shortest src-dst path ([] if disconnected)."""
-    return shortest_path_edges(adj, src, [dst])
-
-
 def sample_pairs(
     first: Sequence[str],
     second: Sequence[str],

@@ -62,17 +62,6 @@ def data_node_id(term: str) -> str:
     return DATA_PREFIX + term
 
 
-def is_data_node_id(node_id: str) -> bool:
-    return node_id.startswith(DATA_PREFIX)
-
-
-def term_of(node_id: str) -> str:
-    """Inverse of :func:`data_node_id` (raises on non-data ids)."""
-    if not is_data_node_id(node_id):
-        raise ValueError(f"not a data node: {node_id}")
-    return node_id[len(DATA_PREFIX) :]
-
-
 @dataclass(frozen=True)
 class TableCorpus:
     """A relational table: one document (metadata node) per tuple.

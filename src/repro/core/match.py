@@ -128,23 +128,3 @@ def top_k_matches_join(
         .where(F.col("rank") <= k)
         .select("query", "target", F.round("score", 9).alias("score"), "rank")
     )
-
-
-def average_scores(a: DataFrame, b: DataFrame, *, k: int) -> DataFrame:
-    """Combine two matchers by averaging cosine scores (paper §V-F2).
-
-    Missing (query, target) pairs on one side contribute score 0; the
-    combined list is re-ranked per query.
-    """
-    pa = a.select("query", "target", F.col("score").alias("sa"))
-    pb = b.select("query", "target", F.col("score").alias("sb"))
-    both = pa.join(pb, ["query", "target"], "full").fillna(0.0, ["sa", "sb"])
-    combo = both.select(
-        "query", "target", ((F.col("sa") + F.col("sb")) / 2).alias("score")
-    )
-    w = Window.partitionBy("query").orderBy(F.desc("score"), F.asc("target"))
-    return (
-        combo.withColumn("rank", F.row_number().over(w))
-        .where(F.col("rank") <= k)
-        .select("query", "target", "score", "rank")
-    )

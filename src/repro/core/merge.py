@@ -9,11 +9,11 @@ Three merge families:
   whose width follows the Freedman–Diaconis rule (2·IQR·n^(-1/3)), or a
   user-supplied width (the paper reports width 7 working best on
   CoronaCheck);
-* **synonym / acronym / typo merging** — map variant terms onto a canonical
-  term using an external dictionary, or derive the dictionary from
-  "pre-trained" embeddings with a cosine threshold γ calibrated as the mean
-  cosine over a known-synonym list (the paper's γ = 0.57 recipe on
-  Wikipedia2Vec).
+* **synonym / acronym / typo merging** — merge the terms that an external
+  (variant, canonical) dictionary connects, each connected component onto
+  the data node of its smallest term. The datasets ship their dictionary;
+  the paper's other source, pairs of pre-trained embeddings above a cosine
+  threshold γ, is not reproduced.
 
 A merge is a relabeling of data-node ids followed by edge rewriting. Both
 run on the graph's driver rows with pandas (left joins on the mapping), so
@@ -46,63 +46,14 @@ def numeric_terms(graph: Graph) -> pd.DataFrame:
     ).reset_index(drop=True)
 
 
-# the relative error of the Freedman–Diaconis quartiles, as the width was
-# first computed with Spark's approxQuantile; the same width keeps the
-# same buckets
-_FD_RELATIVE_ERROR = 0.001
-
-
-def approx_quantile(values: np.ndarray, q: float, relative_error: float) -> float:
-    """Spark's ``approxQuantile(col, [q], relative_error)`` of fewer than
-    50,000 values in one partition, computed on the driver
-    (``relative_error < q < 1 - relative_error``).
-
-    Spark inserts the sorted values into a Greenwald–Khanna summary
-    (``QuantileSummaries``): the ``i``-th value gets ``g = 1`` and
-    ``delta = floor(2·eps·i)`` (0 for the first and the last). One
-    compression pass from the top merges a value into the sample above it
-    while ``1 + g + delta`` of that sample stays below ``2·eps·n``. The
-    answer is the first sample whose rank range covers ``ceil(q·n)``
-    within half the largest ``g + delta``. Below ``1 / (2·eps)`` values
-    nothing merges and every ``delta`` is 0, so the answer is the
-    ``ceil(q·n)``-th smallest value; above, it can be a neighbour of it.
-    """
-    v = np.sort(np.asarray(values, dtype=float))
-    n = len(v)
-    delta = np.floor(2 * relative_error * np.arange(1, n + 1)).astype(np.int64)
-    delta[[0, -1]] = 0
-    threshold = 2 * relative_error * n
-    head = [v[-1], 1, int(delta[-1])]  # value, g, delta
-    samples = []
-    for i in range(n - 2, 0, -1):
-        if 1 + head[1] + head[2] < threshold:
-            head[1] += 1
-        else:
-            samples.append(head)
-            head = [v[i], 1, int(delta[i])]
-    samples.append(head)
-    if n > 1:
-        samples.append([v[0], 1, 0])
-    samples.reverse()
-    target = max(g + d for _, g, d in samples) // 2
-    rank = math.ceil(q * n)
-    min_rank = 0
-    for value, g, d in samples[:-1]:
-        min_rank += g
-        if min_rank + d - target <= rank <= min_rank + target:
-            return float(value)
-    return float(samples[-1][0])
-
-
 def freedman_diaconis_width(values) -> Optional[float]:
-    """FD bin width 2·IQR/n^(1/3) of a sequence of floats, with the
-    quartiles Spark's ``approxQuantile(…, 0.001)`` gives (see
-    :func:`approx_quantile`); None if degenerate."""
+    """FD bin width 2·IQR/n^(1/3) of a sequence of floats, with the exact
+    quartiles (the ⌈q·n⌉-th smallest value); None if degenerate."""
     n = len(values)
     if n < 2:
         return None
-    q1, q3 = (approx_quantile(values, q, _FD_RELATIVE_ERROR) for q in (0.25, 0.75))
-    iqr = q3 - q1
+    q1, q3 = np.quantile(np.asarray(values, dtype=float), [0.25, 0.75], method="inverted_cdf")
+    iqr = float(q3 - q1)
     if iqr <= 0:
         return None
     return 2.0 * iqr / (n ** (1.0 / 3.0))
@@ -162,76 +113,33 @@ def apply_node_mapping(graph: Graph, mapping: pd.DataFrame) -> Tuple[Graph, int]
 def merge_synonyms(graph: Graph, synonyms: DataFrame) -> Tuple[Graph, int]:
     """Merge data nodes using a (variant, canonical) term dictionary.
 
-    Only variants present in the graph are rewritten; the canonical node is
-    created implicitly by the rewrite if absent. Chains (a->b, b->c) are
-    resolved transitively up to length 8 before applying.
-    ``synonyms``, a DataFrame(variant, canonical) as every caller holds it
-    (``tdbench/stages.py`` too), is collected in one action.
+    Each row is an undirected edge between two terms; every connected
+    component of the dictionary becomes one data node, named by the
+    component's smallest term, so the result depends only on the set of
+    unordered pairs. Only terms present in the graph are rewritten; the
+    component's node is created by the rewrite if its smallest term is
+    absent. ``synonyms``, a DataFrame(variant, canonical) as every caller
+    holds it (``tdbench/stages.py`` too), is collected in one action.
     """
     pdf = synonyms.select(
         F.col("variant").cast("string"), F.col("canonical").cast("string")
     ).toPandas()
-    m = dict(zip(pdf["variant"], pdf["canonical"]))
-    resolved = {}
-    for v in m:
-        c, hops = m[v], 0
-        while c in m and hops < 8 and m[c] != c:
-            c, hops = m[c], hops + 1
-        resolved[v] = c
-    rows = [
-        (DATA_PREFIX + v, DATA_PREFIX + c) for v, c in resolved.items() if v != c
-    ]
-    if not rows:
+    if pdf.empty:
         return graph, 0
-    mapping = pd.DataFrame(rows, columns=["old_id", "new_id"])
+    parent: dict = {}
+
+    def root(t: str) -> str:
+        while parent.setdefault(t, t) != t:
+            parent[t] = parent[parent[t]]
+            t = parent[t]
+        return t
+
+    for a, b in zip(pdf["variant"], pdf["canonical"]):
+        ra, rb = root(a), root(b)
+        # a root is the smallest term of its component
+        parent[max(ra, rb)] = min(ra, rb)
+    mapping = pd.DataFrame(
+        [(DATA_PREFIX + t, DATA_PREFIX + root(t)) for t in parent],
+        columns=["old_id", "new_id"],
+    )
     return apply_node_mapping(graph, mapping[mapping["old_id"].isin(graph.node_rows["id"])])
-
-
-def calibrate_gamma(embeddings: pd.DataFrame, synonym_pairs: pd.DataFrame) -> float:
-    """γ = mean cosine similarity over known synonym pairs (§II-C recipe).
-
-    ``embeddings``: pandas(word, vector list). ``synonym_pairs``: pandas
-    (a, b). Pairs with an out-of-vocabulary side are ignored.
-    """
-    vecs = {w: np.asarray(v, dtype=float) for w, v in zip(embeddings["word"], embeddings["vector"])}
-    sims = []
-    for a, b in zip(synonym_pairs["a"], synonym_pairs["b"]):
-        va, vb = vecs.get(a), vecs.get(b)
-        if va is None or vb is None:
-            continue
-        na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-        if na == 0 or nb == 0:
-            continue
-        sims.append(float(va @ vb / (na * nb)))
-    if not sims:
-        raise ValueError("no synonym pair is covered by the embedding vocabulary")
-    return float(np.mean(sims))
-
-
-def synonym_pairs_from_embeddings(
-    embeddings: pd.DataFrame, terms: pd.Series, gamma: float
-) -> pd.DataFrame:
-    """All (variant, canonical) pairs among ``terms`` with cosine ≥ γ.
-
-    Brute-force over the in-vocabulary terms (vocabulary here is the
-    background model, thousands of words at our scale). The
-    lexicographically-smaller term is chosen as canonical so merging is
-    deterministic.
-    """
-    inv = [t for t in terms if t in set(embeddings["word"])]
-    if len(inv) < 2:
-        return pd.DataFrame(columns=["variant", "canonical"])
-    vecs = {w: np.asarray(v, dtype=float) for w, v in zip(embeddings["word"], embeddings["vector"])}
-    mat = np.stack([vecs[t] for t in inv])
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    mat = mat / norms
-    sim = mat @ mat.T
-    rows = []
-    n = len(inv)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sim[i, j] >= gamma:
-                a, b = sorted((inv[i], inv[j]))
-                rows.append((b, a))
-    return pd.DataFrame(rows, columns=["variant", "canonical"]).drop_duplicates()

@@ -11,8 +11,9 @@ Two disjoint vocabularies drive every scenario:
   domain-specific terms (Challenge 1).
 
 ``SYNONYM_GROUPS`` are general-word groups treated as interchangeable by the
-paraphraser and co-trained into the background model, so embedding-based
-synonym merging (γ threshold) has real signal to calibrate on.
+paraphraser and co-trained into the background model, so known synonyms
+land close in its space; the text datasets' synonym dictionaries list the
+same groups.
 """
 from __future__ import annotations
 

@@ -36,7 +36,8 @@ def prepare_kb(spark: SparkSession, kb: pd.DataFrame, *, do_stem: bool = True) -
 def prepare_synonyms(
     spark: SparkSession, synonyms: pd.DataFrame, *, do_stem: bool = True
 ) -> DataFrame:
-    """(variant, canonical) raw phrases -> Spark DataFrame in term space."""
+    """(variant, canonical) raw phrases -> Spark DataFrame in term space,
+    one row per distinct pair."""
     out = pd.DataFrame(
         {
             "variant": synonyms["variant"].map(lambda p: to_term(p, do_stem=do_stem)),
@@ -44,6 +45,4 @@ def prepare_synonyms(
         }
     )
     out = out[(out.variant != "") & (out.canonical != "") & (out.variant != out.canonical)]
-    return pandas_frame(
-        spark, out.drop_duplicates(subset=["variant"]), "variant string, canonical string"
-    )
+    return pandas_frame(spark, out.drop_duplicates(), "variant string, canonical string")

@@ -4,10 +4,10 @@ import pandas as pd
 import pytest
 
 from repro.core.compress import (
-    all_shortest_path_edges,
     bfs_parents,
     msp_compress,
     sample_pairs,
+    shortest_path_edges,
     ssum_like_compress,
 )
 from repro.core.graph import DOC_TYPES, METADATA_TYPES, Graph, TableCorpus, TextCorpus, build_graph
@@ -57,22 +57,22 @@ class TestBfs:
 
 class TestAllShortestPaths:
     def test_diamond_keeps_both_paths(self):
-        edges = all_shortest_path_edges(ADJ, "a", "d")
+        edges = shortest_path_edges(ADJ, "a", ["d"])
         assert set(edges) == {("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")}
 
     def test_single_path(self):
-        edges = all_shortest_path_edges(ADJ, "a", "e")
+        edges = shortest_path_edges(ADJ, "a", ["e"])
         # all shortest a-e paths go through d
         assert ("d", "e") in edges
 
     def test_disconnected_empty(self):
-        assert all_shortest_path_edges({"a": [], "z": []}, "a", "z") == []
+        assert shortest_path_edges({"a": [], "z": []}, "a", ["z"]) == []
 
     def test_same_node_empty(self):
-        assert all_shortest_path_edges(ADJ, "a", "a") == []
+        assert shortest_path_edges(ADJ, "a", ["a"]) == []
 
     def test_adjacent(self):
-        assert all_shortest_path_edges(ADJ, "d", "e") == [("d", "e")]
+        assert shortest_path_edges(ADJ, "d", ["e"]) == [("d", "e")]
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +184,7 @@ class TestMsp:
         adj = adjacency(small_graph)
         want_edges = set()
         for s, d in zip(pairs["src"], pairs["dst"]):
-            want_edges.update(all_shortest_path_edges(adj, s, d))
+            want_edges.update(shortest_path_edges(adj, s, [d]))
         keep = {u for e in want_edges for u in e}
         keep |= metadata_ids(small_graph)
         want_nodes = rows(nodes[nodes["id"].isin(keep)])

@@ -11,7 +11,6 @@ from repro.core.graph import (
     canonical_rows,
     data_node_id,
     pandas_frame,
-    term_of,
 )
 from repro.core.preprocess import terms
 from tests.helpers import adjacency, edge_set, symmetric_edges
@@ -368,11 +367,6 @@ class TestGraphOps:
     def test_canonical_edges_dedup(self):
         out = canonical_rows(["b", "a", "a"], ["a", "b", "a"])
         assert len(out) == 1 and out["src"][0] == "a" and out["dst"][0] == "b"
-
-    def test_term_roundtrip(self):
-        assert term_of(data_node_id("abc_def")) == "abc_def"
-        with pytest.raises(ValueError):
-            term_of("movies::1")
 
 
 def _frame(spark, rows: dict, schema: str):

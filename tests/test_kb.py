@@ -80,7 +80,18 @@ class TestPrepareSynonyms:
         self._assert_merges_nothing(spark, prepare_synonyms(spark, syn))
 
     def test_duplicate_variants_resolved(self, spark):
+        # both pairs of the repeated variant are kept, and merging puts the
+        # three terms on one node whatever the row order
         syn = pd.DataFrame(
-            {"variant": ["aa bb", "aa bb"], "canonical": ["cc", "dd"]}
+            {"variant": ["aa bb", "aa bb", "AA BB"], "canonical": ["cc", "dd", "cc"]}
         )
-        assert prepare_synonyms(spark, syn).count() == 1
+        out = prepare_synonyms(spark, syn)
+        assert sorted(map(tuple, out.collect())) == [("aa_bb", "cc"), ("aa_bb", "dd")]
+        ids = [data_node_id(t) for t in ("aa_bb", "cc", "dd")] + ["t::1"]
+        nodes = pd.DataFrame(
+            {"id": ids, "type": ["data"] * 3 + ["tuple"], "corpus": [""] * 3 + ["t"]}
+        )
+        edges = pd.DataFrame({"src": ids[:3], "dst": ids[3:] * 3})
+        merged, removed = merge_synonyms(Graph(spark, nodes, edges), out)
+        assert removed == 2
+        assert set(merged.node_rows["id"]) == {data_node_id("aa_bb"), "t::1"}

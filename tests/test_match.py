@@ -4,7 +4,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.match import average_scores, top_k_matches, top_k_matches_join
+from repro.core.match import top_k_matches, top_k_matches_join
 
 
 def _emb(spark, rows):
@@ -111,29 +111,3 @@ class TestJoinReference:
         dense = top_k_matches(q, t, k=5).toPandas().sort_values(["query", "rank"])
         ref = top_k_matches_join(q, t, k=5).toPandas().sort_values(["query", "rank"])
         assert list(dense["target"]) == list(ref["target"])
-
-
-class TestAverageScores:
-    def test_combination(self, spark):
-        a = spark.createDataFrame(
-            pd.DataFrame({"query": ["q", "q"], "target": ["x", "y"],
-                          "score": [1.0, 0.2], "rank": [1, 2]})
-        )
-        b = spark.createDataFrame(
-            pd.DataFrame({"query": ["q", "q"], "target": ["y", "x"],
-                          "score": [1.0, 0.0], "rank": [1, 2]})
-        )
-        out = average_scores(a, b, k=2).toPandas().sort_values("rank")
-        # y: (0.2+1.0)/2 = 0.6 beats x: (1.0+0.0)/2 = 0.5
-        assert list(out["target"]) == ["y", "x"]
-
-    def test_missing_side_counts_zero(self, spark):
-        a = spark.createDataFrame(
-            pd.DataFrame({"query": ["q"], "target": ["x"], "score": [0.8], "rank": [1]})
-        )
-        b = spark.createDataFrame(
-            pd.DataFrame({"query": ["q"], "target": ["y"], "score": [0.5], "rank": [1]})
-        )
-        out = average_scores(a, b, k=2).toPandas().sort_values("rank")
-        assert list(out["target"]) == ["x", "y"]
-        assert out.iloc[0]["score"] == pytest.approx(0.4)

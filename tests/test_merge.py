@@ -1,20 +1,22 @@
-"""Tests for node merging (§II-C): bucketing, synonyms, γ calibration."""
+"""Tests for node merging (§II-C): numeric bucketing by the
+Freedman–Diaconis width, and synonym components onto their smallest term."""
+import math
+
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.graph import TableCorpus, TextCorpus, build_graph, data_node_id
+from repro.core.graph import (
+    DATA_PREFIX, Graph, TableCorpus, TextCorpus, build_graph, canonical_rows, data_node_id,
+)
 from repro.core.merge import (
     apply_node_mapping,
-    approx_quantile,
     bucket_label,
-    calibrate_gamma,
     freedman_diaconis_width,
     merge_numeric_buckets,
     merge_synonyms,
     numeric_terms,
-    synonym_pairs_from_embeddings,
 )
 from tests.helpers import symmetric_edges
 
@@ -69,14 +71,18 @@ class TestFreedmanDiaconis:
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 278, 1000])
 @pytest.mark.parametrize("repeats", [False, True])
 def test_width_equals_spark_approx_quantile(spark, n, repeats):
-    """The driver quartiles are Spark's approxQuantile(…, 0.001) over one
-    partition, also where they are not the exact ones (n = 1000)."""
+    """The quartiles are the ⌈q·n⌉-th smallest values. Up to 278 values
+    they equal Spark's approxQuantile(…, 0.001) over one partition; at
+    n = 1000 Spark's summary answers a neighbour of them, so the
+    reference there is the sorted values."""
     rng = np.random.default_rng(n)
     values = rng.integers(0, max(2, n // 3), n) if repeats else rng.permutation(n)
     values = values.astype(float)
-    df = spark.createDataFrame(pd.DataFrame({"value": values})).coalesce(1)
-    q1, q3 = df.approxQuantile("value", [0.25, 0.75], 0.001)
-    assert [approx_quantile(values, q, 0.001) for q in (0.25, 0.75)] == [q1, q3]
+    if n < 500:
+        df = spark.createDataFrame(pd.DataFrame({"value": values})).coalesce(1)
+        q1, q3 = df.approxQuantile("value", [0.25, 0.75], 0.001)
+    else:
+        q1, q3 = (sorted(values)[math.ceil(q * n) - 1] for q in (0.25, 0.75))
     want = 2.0 * (q3 - q1) / n ** (1.0 / 3.0) if q3 > q1 else None
     assert freedman_diaconis_width(values) == want
 
@@ -172,73 +178,78 @@ class TestApplyMapping:
         assert_equivalent(out.edge_rows, sql, e=num_graph.edge_rows, m=mapping_pdf)
 
 
+def star_graph(spark, terms) -> Graph:
+    """One document node linked to a data node of each term."""
+    ids = [data_node_id(t) for t in terms]
+    nodes = pd.DataFrame(
+        {"id": ids + ["t::1"], "type": ["data"] * len(ids) + ["tuple"],
+         "corpus": [""] * len(ids) + ["t"]}
+    )
+    return Graph(spark, nodes, canonical_rows(ids, ["t::1"] * len(ids)))
+
+
+def synonyms(spark, pairs):
+    return spark.createDataFrame(
+        pd.DataFrame(pairs, columns=["variant", "canonical"]), "variant string, canonical string"
+    )
+
+
+def data_terms(graph) -> set:
+    nodes = graph.node_rows
+    return {i[len(DATA_PREFIX):] for i in nodes.loc[nodes["type"] == "data", "id"]}
+
+
 class TestMergeSynonyms:
     def test_variant_rewritten(self, spark, num_graph):
-        syn = spark.createDataFrame(
-            pd.DataFrame({"variant": ["row1"], "canonical": ["row9"]})
-        )
-        out, removed = merge_synonyms(num_graph, syn)
+        # the pair's smallest term names the merged node
+        out, removed = merge_synonyms(num_graph, synonyms(spark, [("row1", "row9")]))
         ids = set(out.node_rows["id"])
-        assert data_node_id("row1") not in ids and removed == 1
+        assert data_node_id("row9") not in ids and removed == 1
+        assert data_node_id("row1") in ids
 
     def test_transitive_chain(self, spark, num_graph):
-        syn = spark.createDataFrame(
-            pd.DataFrame({"variant": ["row1", "row2"], "canonical": ["row2", "row3"]})
-        )
-        out, _ = merge_synonyms(num_graph, syn)
+        out, _ = merge_synonyms(num_graph, synonyms(spark, [("row1", "row2"), ("row2", "row3")]))
         ids = set(out.node_rows["id"])
-        assert data_node_id("row1") not in ids
         assert data_node_id("row2") not in ids
-        assert data_node_id("row3") in ids
+        assert data_node_id("row3") not in ids
+        assert data_node_id("row1") in ids
+
+    def test_symmetric_pair_merges(self, spark, num_graph):
+        pairs = [("row1", "row2"), ("row2", "row1")]
+        out, removed = merge_synonyms(num_graph, synonyms(spark, pairs))
+        ids = set(out.node_rows["id"])
+        assert removed == 1
+        assert data_node_id("row1") in ids and data_node_id("row2") not in ids
+
+    def test_cycle_merges(self, spark, num_graph):
+        pairs = [("row1", "row2"), ("row2", "row3"), ("row3", "row1")]
+        out, removed = merge_synonyms(num_graph, synonyms(spark, pairs))
+        ids = set(out.node_rows["id"])
+        assert removed == 2
+        assert data_node_id("row1") in ids
+        assert not {data_node_id("row2"), data_node_id("row3")} & ids
+
+    def test_long_chain_merges(self, spark):
+        terms = [f"c{i:02d}" for i in range(12)]
+        g = star_graph(spark, terms + ["other"])
+        out, removed = merge_synonyms(g, synonyms(spark, list(zip(terms, terms[1:]))))
+        assert removed == 11
+        assert data_terms(out) == {"c00", "other"}
+        assert out.num_edges() == 2
+
+    def test_absent_canonical_names_node(self, spark):
+        # "aa" is not in the graph: the rewrite creates its node
+        out, removed = merge_synonyms(
+            star_graph(spark, ["bb", "cc"]), synonyms(spark, [("bb", "aa"), ("cc", "aa")])
+        )
+        assert data_terms(out) == {"aa"} and removed == 1
 
     def test_absent_variant_noop(self, spark, num_graph):
-        syn = spark.createDataFrame(
-            pd.DataFrame({"variant": ["zzz"], "canonical": ["row9"]})
-        )
-        out, removed = merge_synonyms(num_graph, syn)
+        out, removed = merge_synonyms(num_graph, synonyms(spark, [("zzz", "row9")]))
         assert removed == 0
+        assert data_node_id("row9") in set(out.node_rows["id"])
 
     def test_empty_dict_noop(self, spark, num_graph):
         syn = spark.createDataFrame([], "variant string, canonical string")
         out, removed = merge_synonyms(num_graph, syn)
         assert removed == 0
-
-
-class TestGamma:
-    def _emb(self):
-        return pd.DataFrame(
-            {
-                "word": ["a", "b", "c", "d"],
-                "vector": [[1.0, 0.0], [0.9, 0.1], [0.0, 1.0], [0.1, 0.9]],
-            }
-        )
-
-    def test_calibrate_mean_cosine(self):
-        pairs = pd.DataFrame({"a": ["a", "c"], "b": ["b", "d"]})
-        g = calibrate_gamma(self._emb(), pairs)
-        # both pairs have cosine ~0.993
-        assert 0.9 < g < 1.0
-
-    def test_calibrate_ignores_oov(self):
-        pairs = pd.DataFrame({"a": ["a", "zzz"], "b": ["b", "yyy"]})
-        assert calibrate_gamma(self._emb(), pairs) > 0.9
-
-    def test_calibrate_all_oov_raises(self):
-        pairs = pd.DataFrame({"a": ["x"], "b": ["y"]})
-        with pytest.raises(ValueError):
-            calibrate_gamma(self._emb(), pairs)
-
-    def test_pairs_from_embeddings(self):
-        pairs = synonym_pairs_from_embeddings(
-            self._emb(), pd.Series(["a", "b", "c", "d"]), gamma=0.95
-        )
-        got = {tuple(r) for r in pairs.itertuples(index=False)}
-        assert ("b", "a") in got  # canonical = lexicographically smaller
-        assert ("d", "c") in got
-        assert all(v > c for v, c in got)
-
-    def test_pairs_high_gamma_empty(self):
-        pairs = synonym_pairs_from_embeddings(
-            self._emb(), pd.Series(["a", "c"]), gamma=0.999
-        )
-        assert pairs.empty

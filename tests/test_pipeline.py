@@ -55,6 +55,25 @@ class TestPipelineInvariants:
         ).matches.toPandas().sort_values(["query", "rank"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(a, b)
 
+    def test_dictionary_direction_and_order_free(self, spark, imdb_sc, imdb_wrw):
+        """The dictionary's rows flipped and shuffled give the same final
+        graph and the same ranked matches."""
+        flipped = imdb_sc.synonyms.rename(
+            columns={"variant": "canonical", "canonical": "variant"}
+        ).sample(frac=1, random_state=3)
+        res = run_tdmatch(
+            spark, imdb_sc.reviews, imdb_sc.movies_wt,
+            config=TDMatchConfig(**CFG), synonyms=prepare_synonyms(spark, flipped),
+        )
+        for frame in ("node_rows", "edge_rows"):
+            got, want = (getattr(r.graph, frame) for r in (res, imdb_wrw))
+            assert sorted(got.itertuples(index=False)) == sorted(want.itertuples(index=False))
+        got, want = (
+            r.matches.toPandas().sort_values(["query", "rank"]).reset_index(drop=True)
+            for r in (res, imdb_wrw)
+        )
+        pd.testing.assert_frame_equal(got, want)
+
     def test_expand_requires_kb(self, spark, imdb_sc):
         with pytest.raises(ValueError):
             run_tdmatch(

@@ -1,17 +1,19 @@
 """Hypothesis property tests for the pure-Python algorithmic cores."""
+import networkx as nx
 import numpy as np
+import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.compress import (
-    all_shortest_path_edges,
     bfs_parents,
     shortest_path_edges,
     shortest_path_mask,
 )
 from repro.core.metrics import node_score
 from repro.core.preprocess import TERM_SEP, terms
-from repro.core.graph import GraphIndex
+from repro.core.graph import Graph, GraphIndex, canonical_rows, data_node_id, pandas_frame
+from repro.core.merge import merge_synonyms
 from repro.core.walks import _WALK_STREAM, walk_corpus
 from tests.helpers import walk_from
 
@@ -59,7 +61,7 @@ class TestBfsProperties:
     @settings(max_examples=60, deadline=None)
     def test_shortest_path_edges_real(self, edges, src, dst):
         adj = _adj(edges)
-        out = all_shortest_path_edges(adj, src, dst)
+        out = shortest_path_edges(adj, src, [dst])
         edge_set = {(min(u, v), max(u, v)) for u in adj for v in adj[u]}
         for e in out:
             assert e in edge_set
@@ -68,8 +70,8 @@ class TestBfsProperties:
     @settings(max_examples=60, deadline=None)
     def test_symmetric_in_endpoints(self, edges, src, dst):
         adj = _adj(edges)
-        assert sorted(all_shortest_path_edges(adj, src, dst)) == sorted(
-            all_shortest_path_edges(adj, dst, src)
+        assert sorted(shortest_path_edges(adj, src, [dst])) == sorted(
+            shortest_path_edges(adj, dst, [src])
         )
 
 
@@ -87,7 +89,7 @@ class TestBfsProperties:
                 for a, b in ((u, v), (v, u)):
                     if a in ds and b in dd and ds[a] + 1 + dd[b] == ds[dst]:
                         want.add((u, v))
-        assert all_shortest_path_edges(adj, src, dst) == sorted(want)
+        assert shortest_path_edges(adj, src, [dst]) == sorted(want)
 
     @given(edges_st, st.sampled_from(NODES), st.lists(st.sampled_from(NODES + ["zz"]), max_size=6))
     @settings(max_examples=100, deadline=None)
@@ -97,7 +99,7 @@ class TestBfsProperties:
         adj = _adj(edges)
         want = set()
         for d in dsts:
-            want.update(all_shortest_path_edges(adj, src, d))
+            want.update(shortest_path_edges(adj, src, [d]))
         assert shortest_path_edges(adj, src, dsts + [src]) == sorted(want)
 
     @given(edges_st, st.sampled_from(NODES + ["iso"]), st.lists(st.sampled_from(NODES), max_size=6))
@@ -118,7 +120,7 @@ class TestBfsProperties:
         got = [tuple(sorted(index.ids[[u, v]])) for u, v in zip(rows[keep], index.targets[keep])]
         want = set()
         for d in dsts:
-            want.update(all_shortest_path_edges(adj, src, d))
+            want.update(shortest_path_edges(adj, src, [d]))
         # every kept edge is marked once, in one direction
         assert sorted(got) == sorted(want)
 
@@ -151,6 +153,68 @@ class TestGraphIndexProperties:
             GraphIndex.from_edges([], ["a"], ["b"])
         empty = GraphIndex.from_edges([], [], [])
         assert empty.offsets.tolist() == [0] and len(empty.targets) == 0
+
+
+# a graph's terms, and dictionary terms absent from it ("0" sorts first)
+TERMS = list("abcdef")
+pairs_st = st.lists(st.tuples(*[st.sampled_from(TERMS + ["0", "m", "z"])] * 2), max_size=10)
+doc_edges_st = st.sets(st.tuples(st.sampled_from(["1", "2"]), st.sampled_from(TERMS)), max_size=8)
+
+
+def _term_graph(spark, doc_edges) -> Graph:
+    """Data nodes of ``TERMS``, each with its own pendant document ``t::<term>``,
+    and documents ``t::1``/``t::2`` linked to some terms."""
+    docs = [f"t::{t}" for t in TERMS] + ["t::1", "t::2"]
+    ids = [data_node_id(t) for t in TERMS]
+    nodes = pd.DataFrame({
+        "id": ids + docs,
+        "type": ["data"] * len(ids) + ["tuple"] * len(docs),
+        "corpus": [""] * len(ids) + ["t"] * len(docs),
+    })
+    src = ids + [data_node_id(t) for _, t in sorted(doc_edges)]
+    dst = docs[: len(ids)] + [f"t::{d}" for d, _ in sorted(doc_edges)]
+    return Graph(spark, nodes, canonical_rows(src, dst))
+
+
+class TestSynonymMergeProperties:
+    @given(pairs=pairs_st, doc_edges=doc_edges_st, rnd=st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_merge_depends_on_unordered_pairs(self, spark, pairs, doc_edges, rnd):
+        graph = _term_graph(spark, doc_edges)
+
+        def merged(rows):
+            syn = pandas_frame(
+                spark, pd.DataFrame(rows, columns=["variant", "canonical"]),
+                "variant string, canonical string",
+            )
+            out, _ = merge_synonyms(graph, syn)
+            return (
+                sorted(out.node_rows.itertuples(index=False, name=None)),
+                sorted(out.edge_rows.itertuples(index=False, name=None)),
+            )
+
+        nodes, edges = merged(pairs)
+        # rows flipped, repeated and shuffled merge the same way
+        rows = [(b, a) if rnd.random() < 0.5 else (a, b) for a, b in pairs]
+        rows += rnd.sample(rows, len(rows) // 2)
+        rnd.shuffle(rows)
+        assert merged(rows) == (nodes, edges)
+        # the node of a term's pendant document is the term's class: a
+        # connected component of all the pairs, cut to the graph's terms,
+        # named by the component's smallest term
+        pairs_graph = nx.Graph(pairs)
+        pairs_graph.add_nodes_from(TERMS)
+        want = {
+            data_node_id(min(c)): c & set(TERMS)
+            for c in nx.connected_components(pairs_graph)
+            if c & set(TERMS)
+        }
+        got = {}
+        for u, v in edges:  # data ids sort before document ids
+            if v[3:] in TERMS:
+                got.setdefault(u, set()).add(v[3:])
+        assert got == want
+        assert {i for i, t, _ in nodes if t == "data"} == set(want)
 
 
 def _walks_one_at_a_time(adj, num_walks, length, seed):
