@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pandas as pd
 
-from .graph import DATA, DATA_PREFIX, KB, Graph, canonical_rows, kb_rows
+from .graph import DATA, DATA_PREFIX, KB, Graph, canonical_rows
 
 
 def expand_graph(
@@ -29,14 +29,15 @@ def expand_graph(
 
     ``kb_edges`` is a DataFrame(subject, object) of related *terms* (already
     pre-processed to match the graph's term space), or its rows as
-    :func:`~repro.core.graph.kb_rows` collected them. Connections are
+    :func:`~repro.core.graph.kb_rows` collected them; a term merged away is
+    read as its merged node (``graph.aliases``). Connections are
     fetched for every data node matching either side. A DataFrame is
     collected once; the rest runs on the graph's driver rows.
     """
     if sink_scope not in ("added", "all", "none"):
         raise ValueError(f"bad sink_scope {sink_scope!r}")
 
-    kb = kb_rows(kb_edges).dropna()
+    kb = graph.kb_terms(kb_edges).dropna()
     kb = kb[kb["subject"] != kb["object"]]
     # symmetric: a data node matching either endpoint pulls in the relation
     kb = pd.concat([kb, kb.set_axis(["object", "subject"], axis=1)])

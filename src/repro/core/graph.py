@@ -33,9 +33,9 @@ only terms already in the graph. Callers pass corpora in any order;
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import pandas as pd
@@ -123,19 +123,30 @@ class Graph:
     rewrite them with pandas and NumPy and run no Spark job.
 
     ``term_corpus`` records which corpus defined the term space (§II-B) when
-    the graph came out of :func:`build_graph`.
+    the graph came out of :func:`build_graph`. ``aliases``, set by
+    :func:`~repro.core.merge.merge_synonyms`, maps every other term of a
+    synonym component to the term of the component's merged data node.
     """
 
     spark: SparkSession
     node_rows: pd.DataFrame
     edge_rows: pd.DataFrame
     term_corpus: Optional[str] = None
+    aliases: Mapping[str, str] = field(default_factory=dict)
 
     def with_rows(self, nodes: pd.DataFrame, edges: pd.DataFrame) -> "Graph":
         """A graph over new driver rows, in the same session and term space."""
-        return Graph(
-            self.spark, nodes.reset_index(drop=True), edges.reset_index(drop=True), self.term_corpus
+        return replace(
+            self, node_rows=nodes.reset_index(drop=True), edge_rows=edges.reset_index(drop=True)
         )
+
+    def kb_terms(self, kb: "KB") -> pd.DataFrame:
+        """:func:`kb_rows` of ``kb`` with each term read through ``aliases``,
+        so a KB fact on any merged term attaches to its merged data node."""
+        rows = kb_rows(kb)
+        if not self.aliases:
+            return rows
+        return rows.apply(lambda terms: terms.map(self.aliases).fillna(terms))
 
     @cached_property
     def nodes(self) -> DataFrame:
@@ -409,7 +420,7 @@ def filter_to_term_corpus(graph: Graph, *, kb: Optional[KB] = None) -> Graph:
     keep = pd.concat([dst[src.isin(first_meta)], src[dst.isin(first_meta)]])
     if kb is not None:
         kept_terms = keep[keep.str.startswith(DATA_PREFIX)].str[len(DATA_PREFIX) :]
-        kbe = kb_rows(kb)
+        kbe = graph.kb_terms(kb)
         subject, obj = kbe["subject"], kbe["object"]
         bridged = pd.concat([subject[obj.isin(kept_terms)], obj[subject.isin(kept_terms)]])
         keep = pd.concat([keep, DATA_PREFIX + bridged.dropna()])

@@ -11,7 +11,9 @@ Three merge families:
   CoronaCheck);
 * **synonym / acronym / typo merging** — merge the terms that an external
   (variant, canonical) dictionary connects, each connected component onto
-  the data node of its smallest term. The datasets ship their dictionary;
+  the data node of its smallest term; the graph records that term for
+  every term of the component, so a KB fact on any of them reaches the
+  node. The datasets ship their dictionary;
   the paper's other source, pairs of pre-trained embeddings above a cosine
   threshold γ, is not reproduced.
 
@@ -23,6 +25,7 @@ oracle checks the rewrite against the same joins in SQL.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -118,8 +121,11 @@ def merge_synonyms(graph: Graph, synonyms: DataFrame) -> Tuple[Graph, int]:
     component's smallest term, so the result depends only on the set of
     unordered pairs. Only terms present in the graph are rewritten; the
     component's node is created by the rewrite if its smallest term is
-    absent. ``synonyms``, a DataFrame(variant, canonical) as every caller
-    holds it (``tdbench/stages.py`` too), is collected in one action.
+    absent. The merged graph's ``aliases`` send every other term of a
+    component to that smallest term; expansion and the §II-B filter read
+    the KB through them. ``synonyms``, a DataFrame(variant, canonical) as
+    every caller holds it (``tdbench/stages.py`` too), is collected in one
+    action.
     """
     pdf = synonyms.select(
         F.col("variant").cast("string"), F.col("canonical").cast("string")
@@ -138,8 +144,12 @@ def merge_synonyms(graph: Graph, synonyms: DataFrame) -> Tuple[Graph, int]:
         ra, rb = root(a), root(b)
         # a root is the smallest term of its component
         parent[max(ra, rb)] = min(ra, rb)
+    aliases = {t: root(t) for t in parent if root(t) != t}
     mapping = pd.DataFrame(
-        [(DATA_PREFIX + t, DATA_PREFIX + root(t)) for t in parent],
+        [(DATA_PREFIX + t, DATA_PREFIX + r) for t, r in aliases.items()],
         columns=["old_id", "new_id"],
     )
-    return apply_node_mapping(graph, mapping[mapping["old_id"].isin(graph.node_rows["id"])])
+    merged, removed = apply_node_mapping(
+        graph, mapping[mapping["old_id"].isin(graph.node_rows["id"])]
+    )
+    return replace(merged, aliases=aliases), removed

@@ -1,8 +1,27 @@
 """Small helpers shared by the test modules."""
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
-from repro.core.graph import GraphIndex
+import pandas as pd
+
+from repro.core.graph import Graph, GraphIndex, canonical_rows, data_node_id
 from repro.core.walks import walk_corpus
+
+
+def star_graph(spark, terms: Sequence[str], links: Iterable[Tuple[str, str]] = ()) -> Graph:
+    """A data node per term, each linked to the document ``t::1``; each
+    ``(term, document)`` of ``links`` adds an edge, and its data node and
+    document if new (documents are tuples of corpus ``t``)."""
+    links = [(data_node_id(t), d) for t, d in links]
+    ids = list(dict.fromkeys([data_node_id(t) for t in terms] + [u for u, _ in links]))
+    docs = list(dict.fromkeys(["t::1"] + [d for _, d in links]))
+    nodes = pd.DataFrame({
+        "id": ids + docs,
+        "type": ["data"] * len(ids) + ["tuple"] * len(docs),
+        "corpus": [""] * len(ids) + ["t"] * len(docs),
+    })
+    src = ids[: len(terms)] + [u for u, _ in links]
+    dst = ["t::1"] * len(terms) + [d for _, d in links]
+    return Graph(spark, nodes, canonical_rows(src, dst))
 
 
 def adjacency(graph) -> Dict[str, List[str]]:

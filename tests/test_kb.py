@@ -2,9 +2,10 @@
 import pandas as pd
 import pytest
 
-from repro.core.graph import Graph, data_node_id
+from repro.core.graph import data_node_id
 from repro.core.merge import merge_synonyms
 from repro.kb.synth_kb import prepare_kb, prepare_synonyms, to_term
+from tests.helpers import star_graph
 
 
 class TestToTerm:
@@ -64,10 +65,7 @@ class TestPrepareSynonyms:
         """A 0-row (variant, canonical) frame that removes no graph node."""
         assert syn.schema.simpleString() == "struct<variant:string,canonical:string>"
         assert syn.count() == 0
-        ids = [data_node_id(t) for t in ("case", "x")] + ["t::1"]
-        nodes = pd.DataFrame({"id": ids, "type": ["data", "data", "tuple"], "corpus": ["", "", "t"]})
-        edges = pd.DataFrame({"src": ids[:2], "dst": ids[2:] * 2})
-        _, removed = merge_synonyms(Graph(spark, nodes, edges), syn)
+        _, removed = merge_synonyms(star_graph(spark, ["case", "x"]), syn)
         assert removed == 0
 
     def test_empty_frame(self, spark):
@@ -87,11 +85,6 @@ class TestPrepareSynonyms:
         )
         out = prepare_synonyms(spark, syn)
         assert sorted(map(tuple, out.collect())) == [("aa_bb", "cc"), ("aa_bb", "dd")]
-        ids = [data_node_id(t) for t in ("aa_bb", "cc", "dd")] + ["t::1"]
-        nodes = pd.DataFrame(
-            {"id": ids, "type": ["data"] * 3 + ["tuple"], "corpus": [""] * 3 + ["t"]}
-        )
-        edges = pd.DataFrame({"src": ids[:3], "dst": ids[3:] * 3})
-        merged, removed = merge_synonyms(Graph(spark, nodes, edges), out)
+        merged, removed = merge_synonyms(star_graph(spark, ["aa_bb", "cc", "dd"]), out)
         assert removed == 2
         assert set(merged.node_rows["id"]) == {data_node_id("aa_bb"), "t::1"}

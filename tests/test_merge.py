@@ -1,14 +1,16 @@
 """Tests for node merging (§II-C): numeric bucketing by the
 Freedman–Diaconis width, and synonym components onto their smallest term."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
+from repro.core.expand import expand_graph
 from repro.core.graph import (
-    DATA_PREFIX, Graph, TableCorpus, TextCorpus, build_graph, canonical_rows, data_node_id,
+    DATA_PREFIX, TableCorpus, TextCorpus, build_graph, data_node_id, filter_to_term_corpus,
 )
 from repro.core.merge import (
     apply_node_mapping,
@@ -18,7 +20,7 @@ from repro.core.merge import (
     merge_synonyms,
     numeric_terms,
 )
-from tests.helpers import symmetric_edges
+from tests.helpers import star_graph, symmetric_edges
 
 
 @pytest.fixture(scope="module")
@@ -71,18 +73,14 @@ class TestFreedmanDiaconis:
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 17, 278, 1000])
 @pytest.mark.parametrize("repeats", [False, True])
 def test_width_equals_spark_approx_quantile(spark, n, repeats):
-    """The quartiles are the ⌈q·n⌉-th smallest values. Up to 278 values
-    they equal Spark's approxQuantile(…, 0.001) over one partition; at
-    n = 1000 Spark's summary answers a neighbour of them, so the
-    reference there is the sorted values."""
+    """The quartiles are the ⌈q·n⌉-th smallest values, which Spark's
+    approxQuantile returns at relative error 0 (its exact mode)."""
     rng = np.random.default_rng(n)
     values = rng.integers(0, max(2, n // 3), n) if repeats else rng.permutation(n)
     values = values.astype(float)
-    if n < 500:
-        df = spark.createDataFrame(pd.DataFrame({"value": values})).coalesce(1)
-        q1, q3 = df.approxQuantile("value", [0.25, 0.75], 0.001)
-    else:
-        q1, q3 = (sorted(values)[math.ceil(q * n) - 1] for q in (0.25, 0.75))
+    df = spark.createDataFrame(pd.DataFrame({"value": values})).coalesce(1)
+    q1, q3 = df.approxQuantile("value", [0.25, 0.75], 0.0)
+    assert [q1, q3] == [sorted(values)[math.ceil(q * n) - 1] for q in (0.25, 0.75)]
     want = 2.0 * (q3 - q1) / n ** (1.0 / 3.0) if q3 > q1 else None
     assert freedman_diaconis_width(values) == want
 
@@ -178,16 +176,6 @@ class TestApplyMapping:
         assert_equivalent(out.edge_rows, sql, e=num_graph.edge_rows, m=mapping_pdf)
 
 
-def star_graph(spark, terms) -> Graph:
-    """One document node linked to a data node of each term."""
-    ids = [data_node_id(t) for t in terms]
-    nodes = pd.DataFrame(
-        {"id": ids + ["t::1"], "type": ["data"] * len(ids) + ["tuple"],
-         "corpus": [""] * len(ids) + ["t"]}
-    )
-    return Graph(spark, nodes, canonical_rows(ids, ["t::1"] * len(ids)))
-
-
 def synonyms(spark, pairs):
     return spark.createDataFrame(
         pd.DataFrame(pairs, columns=["variant", "canonical"]), "variant string, canonical string"
@@ -243,6 +231,33 @@ class TestMergeSynonyms:
             star_graph(spark, ["bb", "cc"]), synonyms(spark, [("bb", "aa"), ("cc", "aa")])
         )
         assert data_terms(out) == {"aa"} and removed == 1
+        assert out.aliases == {"bb": "aa", "cc": "aa"}
+
+    def test_kb_fact_on_merged_term_reaches_node(self, spark):
+        # the KB knows "smith", which merges into the node "jo_smith"; the
+        # expansion edge and the filter's KB bridge both reach that node
+        g = star_graph(spark, ["jo_smith", "smith"], [("west", "s::1")])
+        g = replace(g, term_corpus="t")
+        g.node_rows.loc[g.node_rows["id"] == "s::1", "corpus"] = "s"
+        kb = pd.DataFrame({"subject": ["smith", "west"], "object": ["heat", "smith"]})
+        out, _ = merge_synonyms(g, synonyms(spark, [("jo_smith", "smith")]))
+        assert data_node_id("west") in set(filter_to_term_corpus(out, kb=kb).node_rows["id"])
+        expanded = expand_graph(out, kb, sink_scope="none")
+        assert data_terms(expanded) == {"jo_smith", "heat", "west"}
+        edges = symmetric_edges(expanded)
+        assert (data_node_id("jo_smith"), data_node_id("heat")) in edges
+        assert (data_node_id("jo_smith"), data_node_id("west")) in edges
+
+    def test_kb_fact_follows_renamed_term(self, spark):
+        # only "france" is in the graph; its node takes the smaller
+        # "farnce", and the KB's (france, europe) reaches it
+        g = star_graph(spark, ["france"])
+        out, removed = merge_synonyms(g, synonyms(spark, [("farnce", "france")]))
+        assert removed == 0 and data_terms(out) == {"farnce"}
+        kb = pd.DataFrame({"subject": ["france"], "object": ["europe"]})
+        expanded = expand_graph(out, kb, sink_scope="none")
+        assert data_terms(expanded) == {"farnce", "europe"}
+        assert (data_node_id("farnce"), data_node_id("europe")) in symmetric_edges(expanded)
 
     def test_absent_variant_noop(self, spark, num_graph):
         out, removed = merge_synonyms(num_graph, synonyms(spark, [("zzz", "row9")]))

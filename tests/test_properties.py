@@ -12,10 +12,10 @@ from repro.core.compress import (
 )
 from repro.core.metrics import node_score
 from repro.core.preprocess import TERM_SEP, terms
-from repro.core.graph import Graph, GraphIndex, canonical_rows, data_node_id, pandas_frame
+from repro.core.graph import Graph, GraphIndex, data_node_id, pandas_frame
 from repro.core.merge import merge_synonyms
 from repro.core.walks import _WALK_STREAM, walk_corpus
-from tests.helpers import walk_from
+from tests.helpers import star_graph, walk_from
 
 # random small graphs as edge lists over a fixed node universe
 NODES = list("abcdefgh")
@@ -164,16 +164,8 @@ doc_edges_st = st.sets(st.tuples(st.sampled_from(["1", "2"]), st.sampled_from(TE
 def _term_graph(spark, doc_edges) -> Graph:
     """Data nodes of ``TERMS``, each with its own pendant document ``t::<term>``,
     and documents ``t::1``/``t::2`` linked to some terms."""
-    docs = [f"t::{t}" for t in TERMS] + ["t::1", "t::2"]
-    ids = [data_node_id(t) for t in TERMS]
-    nodes = pd.DataFrame({
-        "id": ids + docs,
-        "type": ["data"] * len(ids) + ["tuple"] * len(docs),
-        "corpus": [""] * len(ids) + ["t"] * len(docs),
-    })
-    src = ids + [data_node_id(t) for _, t in sorted(doc_edges)]
-    dst = docs[: len(ids)] + [f"t::{d}" for d, _ in sorted(doc_edges)]
-    return Graph(spark, nodes, canonical_rows(src, dst))
+    pendants = [(t, f"t::{t}") for t in TERMS]
+    return star_graph(spark, TERMS, pendants + [(t, f"t::{d}") for d, t in sorted(doc_edges)])
 
 
 class TestSynonymMergeProperties:
@@ -191,24 +183,24 @@ class TestSynonymMergeProperties:
             return (
                 sorted(out.node_rows.itertuples(index=False, name=None)),
                 sorted(out.edge_rows.itertuples(index=False, name=None)),
+                out.aliases,
             )
 
-        nodes, edges = merged(pairs)
+        nodes, edges, aliases = merged(pairs)
         # rows flipped, repeated and shuffled merge the same way
         rows = [(b, a) if rnd.random() < 0.5 else (a, b) for a, b in pairs]
         rows += rnd.sample(rows, len(rows) // 2)
         rnd.shuffle(rows)
-        assert merged(rows) == (nodes, edges)
+        assert merged(rows) == (nodes, edges, aliases)
         # the node of a term's pendant document is the term's class: a
         # connected component of all the pairs, cut to the graph's terms,
-        # named by the component's smallest term
+        # named by the component's smallest term; the aliases send every
+        # other term of a component, present or not, to that term
         pairs_graph = nx.Graph(pairs)
         pairs_graph.add_nodes_from(TERMS)
-        want = {
-            data_node_id(min(c)): c & set(TERMS)
-            for c in nx.connected_components(pairs_graph)
-            if c & set(TERMS)
-        }
+        components = list(nx.connected_components(pairs_graph))
+        want = {data_node_id(min(c)): c & set(TERMS) for c in components if c & set(TERMS)}
+        assert aliases == {t: min(c) for c in components for t in c if t != min(c)}
         got = {}
         for u, v in edges:  # data ids sort before document ids
             if v[3:] in TERMS:
