@@ -7,8 +7,10 @@ deviation (the paper reports graph-embedding alternatives comparable in
 quality, so the training objective is not load-bearing).
 
 :func:`skipgram` is the one trainer: the compiled kernel ``_skipgram.c``,
-word2vec.c's update with Spark ML's hyper-parameters, built with ``cc`` on
-first use in a process and called through ``ctypes`` on integer token ids.
+word2vec.c's update with Spark ML's hyper-parameters, built with ``cc``
+at most once per (source bytes, ``CFLAGS``, compiler) into ``__pycache__``
+beside the source, loaded from there by every later process, and called
+through ``ctypes`` on integer token ids.
 It trains a fixed number of contiguous sentence shards (four, a constant
 of the kernel, not the core count) on one thread each, each on its own
 copy of the weights, in rounds of about 256 words per shard, or about as
@@ -26,6 +28,8 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import hashlib
+import os
 import shutil
 import subprocess
 import tempfile
@@ -53,24 +57,55 @@ _i8, _i32, _i64, _f32 = (
 )
 
 
+def _library(cc: str) -> Path:
+    """The kernel's shared library in the build cache, ``__pycache__``
+    beside ``SOURCE``, keyed by the source bytes, ``CFLAGS`` and the
+    compiler (its real path, size and mtime). A missing build is written
+    to a temporary file there and renamed onto its keyed name, so no
+    process loads a half-written library and builders that race each end
+    with a whole one; a new build removes the other keys' libraries."""
+    compiler = os.path.realpath(cc)
+    stat = os.stat(compiler)
+    key = hashlib.sha256(
+        b"\0".join([SOURCE.read_bytes(), " ".join(CFLAGS).encode(),
+                    f"{compiler} {stat.st_size} {stat.st_mtime_ns}".encode()])
+    ).hexdigest()[:16]
+    cache = SOURCE.parent / "__pycache__"
+    lib = cache / f"{SOURCE.stem}.{key}.so"
+    if lib.exists():
+        return lib
+    cache.mkdir(exist_ok=True)
+    fd, tmp = tempfile.mkstemp(prefix=f"{SOURCE.stem}.", suffix=".tmp", dir=cache)
+    os.close(fd)
+    try:
+        build = subprocess.run(
+            [cc, *CFLAGS, "-o", tmp, str(SOURCE), "-lm"], capture_output=True, text=True
+        )
+        if build.returncode != 0:
+            raise RuntimeError(f"`cc` failed to build {SOURCE.name}:\n{build.stderr}")
+        os.chmod(tmp, SOURCE.stat().st_mode & 0o777)  # mkstemp's 0600 would hide it from other users
+        os.replace(tmp, lib)
+    except BaseException:
+        Path(tmp).unlink(missing_ok=True)
+        raise
+    for old in cache.glob(f"{SOURCE.stem}.*.so"):
+        if old != lib:  # a loaded library stays mapped after its file goes
+            old.unlink(missing_ok=True)
+    return lib
+
+
 @functools.lru_cache(maxsize=None)
 def _kernel() -> ctypes.CDLL:
-    """The compiled kernel, built once per process into a temporary
-    directory (the loaded library outlives its file)."""
+    """The compiled kernel, loaded once per process from the build cache
+    (:func:`_library`); ``cc`` runs only when the cache has no build of
+    this source, these flags and this compiler."""
     cc = shutil.which("cc")
     if cc is None:
         raise RuntimeError(
             "training embeddings needs a C compiler named `cc` on PATH "
             f"to build {SOURCE.name}"
         )
-    with tempfile.TemporaryDirectory(prefix="repro-skipgram-") as tmp:
-        lib = str(Path(tmp) / "skipgram.so")
-        build = subprocess.run(
-            [cc, *CFLAGS, "-o", lib, str(SOURCE), "-lm"], capture_output=True, text=True
-        )
-        if build.returncode != 0:
-            raise RuntimeError(f"`cc` failed to build {SOURCE.name}:\n{build.stderr}")
-        dll = ctypes.CDLL(lib)
+    dll = ctypes.CDLL(str(_library(cc)))
     dll.sg_huffman.argtypes = [ctypes.c_int32, _i64, _i8, _i32, _i32]
     dll.sg_huffman.restype = ctypes.c_int
     dll.sg_train.argtypes = [

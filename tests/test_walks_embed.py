@@ -557,6 +557,94 @@ class TestKernelBuild:
         finally:
             embed._kernel.cache_clear()
 
+    CORPUS = _corpus(_zipf_sentences(5, 60, 12, vocab=40))
+
+    @pytest.fixture
+    def source(self, tmp_path, monkeypatch):
+        """``embed.SOURCE`` pointed at a copy of the kernel under tmp_path,
+        loaded afresh."""
+        src = tmp_path / embed.SOURCE.name
+        src.write_bytes(embed.SOURCE.read_bytes())
+        monkeypatch.setattr(embed, "SOURCE", src)
+        embed._kernel.cache_clear()
+        yield src
+        embed._kernel.cache_clear()
+
+    def test_warm_cache_builds_nothing(self, monkeypatch):
+        want = _digest(*skipgram(*self.CORPUS, vector_size=8, seed=1))
+        embed._kernel.cache_clear()
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("`cc` ran with the library in the cache")
+
+        monkeypatch.setattr(embed.subprocess, "run", no_build)
+        try:
+            assert _digest(*skipgram(*self.CORPUS, vector_size=8, seed=1)) == want
+        finally:
+            embed._kernel.cache_clear()
+
+    def test_new_source_builds_a_new_key_and_prunes_the_old(self, source):
+        """An edited source gets its own library and removes the old one,
+        while this process still trains through the old one it loaded."""
+        want = _digest(*skipgram(*self.CORPUS, vector_size=8, seed=1))
+        cache = source.parent / "__pycache__"
+        (old,) = cache.iterdir()
+        assert old.name.startswith("_skipgram.") and old.suffix == ".so"
+        loaded = embed._kernel()
+        with source.open("a") as f:
+            f.write("/* an edit that changes no code */\n")
+        embed._kernel.cache_clear()
+        assert _digest(*skipgram(*self.CORPUS, vector_size=8, seed=1)) == want
+        (new,) = cache.iterdir()
+        assert new.name.startswith("_skipgram.") and new.suffix == ".so" and new != old
+        code = np.zeros((1, embed.MAX_CODE_LENGTH), dtype=np.int8)
+        point = np.zeros((1, embed.MAX_CODE_LENGTH), dtype=np.int32)
+        assert loaded.sg_huffman(1, np.ones(1, dtype=np.int64), code, point, np.zeros(1, dtype=np.int32)) == 0
+
+    def test_failed_build_raises_and_leaves_nothing(self, source):
+        source.write_text("int broken(\n")
+        with pytest.raises(RuntimeError, match="`cc` failed to build _skipgram.c"):
+            skipgram(*self.CORPUS, vector_size=8)
+        assert list((source.parent / "__pycache__").iterdir()) == []
+
+    def test_racing_builds_both_train(self, source, tmp_path):
+        """Two processes that start together on an empty cache both train
+        the same bytes, and one library remains."""
+        np.save(tmp_path / "tokens.npy", self.CORPUS[0])
+        np.save(tmp_path / "offsets.npy", self.CORPUS[1])
+        gate = tmp_path / "gate"
+        gate.mkdir()
+        child = textwrap.dedent(f"""
+            import hashlib, os, sys, time
+            from pathlib import Path
+            import numpy as np
+            sys.path.insert(0, {str(Path(embed.__file__).parents[2])!r})
+            from repro.core import embed
+            embed.SOURCE = Path({str(source)!r})
+            gate = Path({str(gate)!r})
+            (gate / str(os.getpid())).touch()
+            deadline = time.monotonic() + 60
+            while len(list(gate.iterdir())) < 2 and time.monotonic() < deadline:
+                time.sleep(0.005)
+            ids, vecs = embed.skipgram(np.load({str(tmp_path / "tokens.npy")!r}),
+                                       np.load({str(tmp_path / "offsets.npy")!r}), vector_size=8, seed=1)
+            print(hashlib.sha256(ids.tobytes() + vecs.tobytes()).hexdigest())
+        """)
+        procs = [
+            subprocess.Popen([sys.executable, "-c", child], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for _ in range(2)
+        ]
+        try:
+            outs = [p.communicate(timeout=120) for p in procs]
+        finally:
+            for p in procs:
+                p.kill()
+                p.wait()
+        assert [p.returncode for p in procs] == [0, 0], [err for _, err in outs]
+        want = _digest(*skipgram(*self.CORPUS, vector_size=8, seed=1))
+        assert [out.split() for out, _ in outs] == [[want], [want]]
+        assert [p.suffix for p in (source.parent / "__pycache__").iterdir()] == [".so"]
+
 
 class TestAdapters:
     def test_train_embeddings_equals_integer_path(self, g):
