@@ -24,7 +24,7 @@ def run(spark: SparkSession, *, scale: float = 0.3, seed: int = 7) -> pd.DataFra
     sc = imdb.generate(spark, scale=scale, seed=seed)
     kb = prepare_kb(spark, sc.kb)
     syn = prepare_synonyms(spark, sc.synonyms)
-    bg = background_model(spark, seed=0)
+    bg = background_model(seed=0)
 
     rows = []
     for variant, table in (("WT", sc.movies_wt), ("NT", sc.movies_nt)):

@@ -24,7 +24,7 @@ def run(spark: SparkSession, *, scale: float = 0.5, seed: int = 11) -> pd.DataFr
     sc = corona.generate(spark, scale=scale, seed=seed)
     kb = prepare_kb(spark, sc.kb)
     syn = prepare_synonyms(spark, sc.synonyms)
-    bg = background_model(spark, seed=0)
+    bg = background_model(seed=0)
 
     rows = []
     for variant, text, truth in (("Gen", sc.gen, sc.truth_gen), ("Usr", sc.usr, sc.truth_usr)):

@@ -26,7 +26,7 @@ def run(spark: SparkSession, *, scale: float = 0.4, seed: int = 13) -> pd.DataFr
     sc = audit.generate(spark, scale=scale, seed=seed)
     kb = prepare_kb(spark, sc.kb)
     syn = prepare_synonyms(spark, sc.synonyms)
-    bg = background_model(spark, seed=0)
+    bg = background_model(seed=0)
     paths = root_to_node_paths(sc.taxonomy_pdf)
     truth_pdf = sc.truth.toPandas()
     kmax = max(KS)

@@ -22,7 +22,7 @@ def run_claims_table(
     """Shared harness for Tables IV and V (same methods, different corpus)."""
     kb = prepare_kb(spark, sc.kb)
     syn = prepare_synonyms(spark, sc.synonyms)
-    bg = background_model(spark, seed=0)
+    bg = background_model(seed=0)
 
     def cfg(expand: bool) -> TDMatchConfig:
         return TDMatchConfig(

@@ -20,7 +20,7 @@ def run(spark: SparkSession, *, scale: float = 0.4, seed: int = 23) -> pd.DataFr
     sc = sts.generate(spark, scale=scale, seed=seed)
     kb = prepare_kb(spark, sc.kb)
     syn = prepare_synonyms(spark, sc.synonyms)
-    bg = background_model(spark, seed=0)
+    bg = background_model(seed=0)
 
     def cfg(expand: bool) -> TDMatchConfig:
         return TDMatchConfig(

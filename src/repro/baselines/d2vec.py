@@ -3,32 +3,69 @@
 DBOW learns a document vector that predicts the document's words. With only
 a skip-gram Word2Vec trainer (``core.embed``), we reproduce the objective by
 injecting the document-id token into the document's token stream every
-``window`` positions: skip-gram then trains the id token against all its
-word contexts — the same "doc vector predicts words" gradient. The document
-embedding is the learned id-token vector.
+``inject_every`` positions: skip-gram then trains the id token against all
+its word contexts — the same "doc vector predicts words" gradient. The
+document embedding is the learned id-token vector; a document with no
+tokens gets none and is not ranked.
 """
 from __future__ import annotations
 
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from typing import List, Tuple
 
-from ..core.embed import train_token_embeddings
-from ..core.match import top_k_matches
-from .common import doc_tokens, text_view
+import pandas as pd
+from pyspark.sql import DataFrame, SparkSession
+
+from ..core.match import matches_frame, top_k_rows
+from .common import doc_tokens, word_vectors
 
 _DOC_PREFIX = "docid::"
 
+D2Vec = Tuple[pd.DataFrame, pd.DataFrame]  # pandas(id, vector) of the query and target docs
 
-def _inject(view: DataFrame, *, side: str, window: int) -> DataFrame:
-    toks = doc_tokens(view)
-    return toks.select(
-        F.concat(F.lit(_DOC_PREFIX + side + "::"), "doc").alias("doc_tok"), "tokens"
-    ).select(
-        F.expr(
-            "flatten(transform(tokens, (t, i) -> "
-            f"CASE WHEN i % {window} = 0 THEN array(doc_tok, t) ELSE array(t) END))"
-        ).alias("tokens")
+
+def _inject(tokens: List[str], doc_tok: str, every: int) -> List[str]:
+    """``tokens`` with ``doc_tok`` before every ``every``-th one."""
+    return [x for i, t in enumerate(tokens) for x in ((doc_tok, t) if i % every == 0 else (t,))]
+
+
+def d2vec_train(
+    query_corpus,
+    target_corpus,
+    *,
+    vector_size: int = 64,
+    window: int = 5,
+    inject_every: int = 2,
+    max_iter: int = 3,
+    seed: int = 0,
+) -> D2Vec:
+    """The query and target documents' id-token vectors.
+
+    The doc token is injected every ``inject_every`` positions and training
+    runs ``max_iter`` epochs — dense enough that the id vector really
+    aggregates the document's word contexts (gensim's DBOW trains the doc
+    vector against every word; this approximates that gradient budget).
+    """
+    sides = {"q": doc_tokens(query_corpus), "t": doc_tokens(target_corpus)}
+    wv = word_vectors(
+        [
+            _inject(tokens, f"{_DOC_PREFIX}{side}::{doc}", inject_every)
+            for side, docs in sides.items()
+            for doc, tokens in zip(docs["doc"], docs["tokens"])
+        ],
+        vector_size=vector_size, window=window, min_count=1, seed=seed, max_iter=max_iter,
     )
+
+    def side_vectors(side: str) -> pd.DataFrame:
+        pre = f"{_DOC_PREFIX}{side}::"
+        rows = [(w[len(pre):], v) for w, v in wv.items() if w.startswith(pre)]
+        return pd.DataFrame(rows, columns=["id", "vector"])
+
+    return side_vectors("q"), side_vectors("t")
+
+
+def d2vec_rank(trained: D2Vec, *, k: int) -> pd.DataFrame:
+    """pandas(query, target, score, rank) by the cosine of the id vectors."""
+    return top_k_rows(*trained, k=k)
 
 
 def d2vec_match(
@@ -43,27 +80,9 @@ def d2vec_match(
     max_iter: int = 3,
     seed: int = 0,
 ) -> DataFrame:
-    """DBOW-style matcher -> (query, target, score, rank).
-
-    The doc token is injected every ``inject_every`` positions and training
-    runs ``max_iter`` epochs — dense enough that the id vector really
-    aggregates the document's word contexts (gensim's DBOW trains the doc
-    vector against every word; this approximates that gradient budget).
-    """
-    qv, tv = text_view(query_corpus), text_view(target_corpus)
-    corpus = _inject(qv, side="q", window=inject_every).unionByName(
-        _inject(tv, side="t", window=inject_every)
+    """DBOW-style matcher -> (query, target, score, rank)."""
+    trained = d2vec_train(
+        query_corpus, target_corpus, vector_size=vector_size, window=window,
+        inject_every=inject_every, max_iter=max_iter, seed=seed,
     )
-    wv = train_token_embeddings(
-        corpus, vector_size=vector_size, window=window, min_count=1,
-        seed=seed, max_iter=max_iter,
-    ).cache()
-
-    def _side(side: str) -> DataFrame:
-        pre = _DOC_PREFIX + side + "::"
-        return (
-            wv.where(F.col("word").startswith(pre))
-            .select(F.expr(f"substring(word, {len(pre) + 1})").alias("node"), "vector")
-        )
-
-    return top_k_matches(_side("q"), _side("t"), k=k)
+    return matches_frame(spark, d2vec_rank(trained, k=k))

@@ -1,10 +1,10 @@
 """Pair-feature computation shared by the supervised baselines.
 
-Supervised baselines score (query document, target document) pairs. Features
-are computed distributedly: the target corpus' TF-IDF matrix / embedding
-matrix / token sets are broadcast, and ``mapInPandas`` over the pair
-DataFrame evaluates the feature vector per pair (same layering pattern as
-``core.match``).
+Supervised baselines score (query document, target document) pairs. The
+featurizer takes both corpora's tokens (``common.doc_tokens``) and computes,
+on the driver, each document's TF-IDF vector and pooled embeddings once;
+:meth:`PairFeaturizer.featurize` then adds a feature vector to every row of
+a pandas pair frame.
 
 Feature families (which baseline uses which is declared in rank.py /
 matchers.py):
@@ -21,37 +21,31 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from ..core.preprocess import content_tokens, is_numeric
-from .common import text_view
+from ..core.preprocess import is_numeric
+from .common import WordVectors, mean_vector
 
 ALL_FEATURES = ("tfidf_cos", "jaccard", "overlap", "rare", "num_match", "bg_cos", "own_cos")
 
-
-def _tokens_map(view_pdf: pd.DataFrame) -> Dict[str, List[str]]:
-    return {
-        str(d): content_tokens(t or "") for d, t in zip(view_pdf["doc"], view_pdf["text"])
-    }
+SparseVector = Dict[str, float]
 
 
-def _tfidf(
+def tfidf(
     q_tokens: Dict[str, List[str]], t_tokens: Dict[str, List[str]]
-) -> Tuple[Dict[str, Dict[str, float]], Dict[str, Dict[str, float]], Dict[str, float]]:
-    """Fit IDF on the union corpus, return per-doc L2-normalized tf-idf."""
+) -> Tuple[Dict[str, SparseVector], Dict[str, SparseVector], Counter]:
+    """Fit IDF on the union corpus; per-doc L2-normalized tf-idf of both
+    sides, and the document frequencies."""
     df_counts: Counter = Counter()
-    n_docs = 0
-    for toks in list(q_tokens.values()) + list(t_tokens.values()):
-        n_docs += 1
+    docs = list(q_tokens.values()) + list(t_tokens.values())
+    for toks in docs:
         df_counts.update(set(toks))
-    idf = {w: math.log((1 + n_docs) / (1 + c)) + 1 for w, c in df_counts.items()}
+    idf = {w: math.log((1 + len(docs)) / (1 + c)) + 1 for w, c in df_counts.items()}
 
-    def vecs(tok_map: Dict[str, List[str]]) -> Dict[str, Dict[str, float]]:
+    def vecs(tok_map: Dict[str, List[str]]) -> Dict[str, SparseVector]:
         out = {}
         for d, toks in tok_map.items():
             tf = Counter(toks)
@@ -60,130 +54,87 @@ def _tfidf(
             out[d] = {w: x / norm for w, x in v.items()}
         return out
 
-    return vecs(q_tokens), vecs(t_tokens), idf
+    return vecs(q_tokens), vecs(t_tokens), df_counts
 
 
-def _mean_vec(tokens: List[str], wv: Dict[str, np.ndarray], dim: int) -> np.ndarray:
-    vs = [wv[t] for t in tokens if t in wv]
-    if not vs:
-        return np.zeros(dim)
-    v = np.mean(vs, axis=0)
-    n = np.linalg.norm(v)
-    return v / n if n > 0 else v
+def sparse_dot(a: SparseVector, b: SparseVector) -> float:
+    """Dot product of two sparse vectors, summed over the shorter one."""
+    small, big = (a, b) if len(a) < len(b) else (b, a)
+    return sum(x * big.get(w, 0.0) for w, x in small.items())
+
+
+def _unit_means(tok_map: Dict[str, List[str]], wv: WordVectors) -> Dict[str, np.ndarray]:
+    """Each doc's L2-normalized mean token vector; zeros without one."""
+    dim = len(next(iter(wv.values()))) if wv else 0
+    out = {}
+    for d, toks in tok_map.items():
+        v = mean_vector(toks, wv)
+        if v is None:
+            v = np.zeros(dim)
+        n = np.linalg.norm(v)
+        out[d] = v / n if n > 0 else v
+    return out
 
 
 class PairFeaturizer:
-    """Precomputes broadcastable state, then featurizes pair DataFrames."""
+    """Per-document state of the features, then features of pair frames."""
 
     def __init__(
         self,
-        spark: SparkSession,
-        query_corpus,
-        target_corpus,
+        query_docs: pd.DataFrame,
+        target_docs: pd.DataFrame,
         *,
         features: Sequence[str],
-        bg_vectors: DataFrame = None,
-        own_vectors: DataFrame = None,
+        bg_vectors: Optional[WordVectors] = None,
+        own_vectors: Optional[WordVectors] = None,
         rare_df_max: int = 3,
     ):
+        """``query_docs``/``target_docs``: pandas(doc, tokens)."""
         for f in features:
             if f not in ALL_FEATURES:
                 raise ValueError(f"unknown feature {f!r}")
         self.features = tuple(features)
-        self.spark = spark
-        q_pdf = text_view(query_corpus).toPandas()
-        t_pdf = text_view(target_corpus).toPandas()
-        self.q_tokens = _tokens_map(q_pdf)
-        self.t_tokens = _tokens_map(t_pdf)
-        self.q_tfidf, self.t_tfidf, idf = _tfidf(self.q_tokens, self.t_tokens)
-        dfc: Counter = Counter()
-        for toks in list(self.q_tokens.values()) + list(self.t_tokens.values()):
-            dfc.update(set(toks))
+        self.q_tokens = dict(zip(query_docs["doc"], query_docs["tokens"]))
+        self.t_tokens = dict(zip(target_docs["doc"], target_docs["tokens"]))
+        self.q_tfidf, self.t_tfidf, dfc = tfidf(self.q_tokens, self.t_tokens)
         self.rare_words = {w for w, c in dfc.items() if c <= rare_df_max}
+        # feature -> (query doc -> unit vector, target doc -> unit vector)
+        self.pooled = {
+            f: (_unit_means(self.q_tokens, wv), _unit_means(self.t_tokens, wv))
+            for f, wv in (("bg_cos", bg_vectors), ("own_cos", own_vectors))
+            if f in self.features
+        }
 
-        def _wv_dict(df: DataFrame):
-            if df is None:
-                return None, 0
-            pdf = df.toPandas()
-            d = {w: np.asarray(v, dtype=float) for w, v in zip(pdf["word"], pdf["vector"])}
-            dim = len(next(iter(d.values()))) if d else 0
-            return d, dim
-
-        self.bg_wv, self.bg_dim = _wv_dict(bg_vectors)
-        self.own_wv, self.own_dim = _wv_dict(own_vectors)
-
-        self._b = spark.sparkContext.broadcast(
-            {
-                "features": self.features,
-                "q_tokens": self.q_tokens,
-                "t_tokens": self.t_tokens,
-                "q_tfidf": self.q_tfidf,
-                "t_tfidf": self.t_tfidf,
-                "rare": self.rare_words,
-                "bg_wv": self.bg_wv,
-                "bg_dim": self.bg_dim,
-                "own_wv": self.own_wv,
-                "own_dim": self.own_dim,
-            }
+    def all_pairs(self) -> pd.DataFrame:
+        """pandas(query, target): every query doc × every target doc."""
+        return pd.DataFrame(
+            [(q, t) for q in self.q_tokens for t in self.t_tokens], columns=["query", "target"]
         )
 
-    def all_pairs(self) -> DataFrame:
-        """Cross product of query × target ids as a DataFrame."""
-        q = self.spark.createDataFrame(pd.DataFrame({"query": list(self.q_tokens)}))
-        t = self.spark.createDataFrame(pd.DataFrame({"target": list(self.t_tokens)}))
-        return q.crossJoin(t)
+    def _vector(self, q: str, t: str) -> List[float]:
+        qs, ts = set(self.q_tokens.get(q, [])), set(self.t_tokens.get(t, []))
+        shared = qs & ts
+        fv = []
+        for f in self.features:
+            if f == "tfidf_cos":
+                fv.append(sparse_dot(self.q_tfidf.get(q, {}), self.t_tfidf.get(t, {})))
+            elif f == "jaccard":
+                fv.append(len(shared) / len(qs | ts) if qs or ts else 0.0)
+            elif f == "overlap":
+                fv.append(len(shared) / len(qs) if qs else 0.0)
+            elif f == "rare":
+                fv.append(float(len(shared & self.rare_words)))
+            elif f == "num_match":
+                qn = {w for w in qs if is_numeric(w)}
+                fv.append(len(qn & ts) / len(qn) if qn else 0.0)
+            else:  # bg_cos, own_cos
+                qv, tv = self.pooled[f]
+                fv.append(float(qv[q] @ tv[t]) if q in qv and t in tv else 0.0)
+        return fv
 
-    def featurize(self, pairs: DataFrame) -> DataFrame:
-        """(query, target [, label]) -> + feature columns (array<double>)."""
-        b = self._b
-        feats = self.features
-        has_label = "label" in pairs.columns
-        schema = "query string, target string" + (", label double" if has_label else "") + ", features array<double>"
-
-        def gen(batches: Iterable[pd.DataFrame]):
-            s = b.value
-            for pdf in batches:
-                rows = []
-                labels = pdf["label"] if has_label else [None] * len(pdf)
-                for q, t, lab in zip(pdf["query"], pdf["target"], labels):
-                    q, t = str(q), str(t)
-                    qt, tt = s["q_tokens"].get(q, []), s["t_tokens"].get(t, [])
-                    qs, ts = set(qt), set(tt)
-                    shared = qs & ts
-                    fv = []
-                    for f in feats:
-                        if f == "tfidf_cos":
-                            va, vb = s["q_tfidf"].get(q, {}), s["t_tfidf"].get(t, {})
-                            small, big = (va, vb) if len(va) < len(vb) else (vb, va)
-                            fv.append(sum(x * big.get(w, 0.0) for w, x in small.items()))
-                        elif f == "jaccard":
-                            fv.append(len(shared) / len(qs | ts) if qs or ts else 0.0)
-                        elif f == "overlap":
-                            fv.append(len(shared) / len(qs) if qs else 0.0)
-                        elif f == "rare":
-                            fv.append(float(len(shared & s["rare"])))
-                        elif f == "num_match":
-                            qn = {w for w in qs if is_numeric(w)}
-                            fv.append(len(qn & ts) / len(qn) if qn else 0.0)
-                        elif f == "bg_cos":
-                            fv.append(
-                                float(
-                                    _mean_vec(qt, s["bg_wv"], s["bg_dim"])
-                                    @ _mean_vec(tt, s["bg_wv"], s["bg_dim"])
-                                )
-                            )
-                        elif f == "own_cos":
-                            fv.append(
-                                float(
-                                    _mean_vec(qt, s["own_wv"], s["own_dim"])
-                                    @ _mean_vec(tt, s["own_wv"], s["own_dim"])
-                                )
-                            )
-                    out = {"query": q, "target": t, "features": fv}
-                    if has_label:
-                        out["label"] = float(lab)
-                    rows.append(out)
-                yield pd.DataFrame(rows)
-
-        n_part = self.spark.sparkContext.defaultParallelism
-        return pairs.repartition(n_part).mapInPandas(gen, schema)
+    def featurize(self, pairs: pd.DataFrame) -> pd.DataFrame:
+        """pandas(query, target [, label]) -> the same rows, ids as strings,
+        plus ``features`` (a list of floats in ``self.features`` order)."""
+        out = pairs.astype({"query": str, "target": str})
+        out["features"] = [self._vector(q, t) for q, t in zip(out["query"], out["target"])]
+        return out

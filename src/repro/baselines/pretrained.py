@@ -11,27 +11,21 @@ in the space, as they do in Wikipedia2Vec.
 ``sbe_match`` is the SentenceBERT stand-in: sentence embedding = mean of
 background word vectors; tokens outside the background vocabulary (all
 domain pseudo-words, entity names, numbers) contribute nothing. Documents
-with zero in-vocabulary tokens get a deterministic pseudo-random vector so
-they still produce (bad) rankings rather than vanishing, like a real
-pre-trained encoder would.
+with zero in-vocabulary tokens get a deterministic pseudo-random vector
+(``common._fallback_vector``).
 """
 from __future__ import annotations
 
-import zlib
-from typing import Iterable, Optional
+import functools
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from ..core.embed import mean_pool, train_token_embeddings
-from ..core.match import top_k_matches
-from ..datasets.common import GENERAL_WORDS, SYNONYM_GROUPS, SYNONYM_WORDS
+from ..core.match import matches_frame
 from ..core.preprocess import stem
-from .common import exploded_tokens, text_view
-
-_CACHE: dict = {}
+from ..datasets.common import GENERAL_WORDS, SYNONYM_GROUPS, SYNONYM_WORDS
+from .common import WordVectors, doc_tokens, pooled_rank, word_vectors
 
 
 def background_sentences(rng: np.random.Generator, n: int) -> list:
@@ -68,64 +62,24 @@ def background_sentences(rng: np.random.Generator, n: int) -> list:
     return out
 
 
-def background_model(
-    spark: SparkSession,
-    *,
-    n_sentences: int = 6000,
-    vector_size: int = 64,
-    seed: int = 0,
-) -> DataFrame:
+@functools.lru_cache(maxsize=None)
+def background_model(*, n_sentences: int = 6000, vector_size: int = 64, seed: int = 0) -> WordVectors:
     """Word vectors of the general-domain background model (cached per
-    session — pre-trained models are trained once, not per task)."""
-    key = (id(spark), n_sentences, vector_size, seed)
-    if key in _CACHE:
-        return _CACHE[key]
-    rng = np.random.default_rng(seed)
-    sents = background_sentences(rng, n_sentences)
-    sdf = spark.createDataFrame(pd.DataFrame({"tokens": sents}))
-    vecs = train_token_embeddings(
-        sdf, vector_size=vector_size, window=5, min_count=2, seed=seed, max_iter=1
-    ).cache()
-    vecs.count()
-    _CACHE[key] = vecs
-    return vecs
+    process — pre-trained models are trained once, not per task)."""
+    sents = background_sentences(np.random.default_rng(seed), n_sentences)
+    return word_vectors(sents, vector_size=vector_size, window=5, min_count=2, seed=seed, max_iter=1)
 
 
-def _fallback_vector(doc: str, dim: int) -> list:
-    rng = np.random.default_rng(zlib.crc32(doc.encode()))
-    return [float(x) for x in rng.normal(0, 0.01, dim)]
-
-
-def doc_embeddings(
-    view: DataFrame, word_vectors: DataFrame, *, do_stem: bool = True
-) -> DataFrame:
-    """(doc, text) -> (doc, vector) mean-pooled; OOV-only docs get a
-    deterministic near-zero fallback vector."""
-    spark = view.sparkSession
-    toks = exploded_tokens(view, do_stem=do_stem)
-    pooled = mean_pool(toks, word_vectors, id_col="doc")
-    dim = len(word_vectors.select("vector").first()["vector"])
-    missing = view.select("doc").join(pooled.select("doc"), "doc", "left_anti")
-
-    @F.udf("array<double>")
-    def _fb(doc):
-        return _fallback_vector(doc, dim)
-
-    return pooled.unionByName(missing.select("doc", _fb("doc").alias("vector")))
+def sbe_rank(query_corpus, target_corpus, wv: WordVectors, *, k: int) -> pd.DataFrame:
+    """pandas(query, target, score, rank) by the cosine of the documents'
+    mean-pooled background vectors. S-BE has no train step: the corpora are
+    tokenized here."""
+    return pooled_rank(doc_tokens(query_corpus), doc_tokens(target_corpus), wv, k=k)
 
 
 def sbe_match(
-    spark: SparkSession,
-    query_corpus,
-    target_corpus,
-    *,
-    k: int = 20,
-    seed: int = 0,
-    word_vectors: Optional[DataFrame] = None,
+    spark: SparkSession, query_corpus, target_corpus, *, k: int = 20, seed: int = 0
 ) -> DataFrame:
     """S-BE substitute: rank targets by cosine of mean-pooled background
     embeddings. Returns (query, target, score, rank)."""
-    wv = word_vectors if word_vectors is not None else background_model(spark, seed=seed)
-    q = doc_embeddings(text_view(query_corpus), wv).withColumnRenamed("doc", "node")
-    t = doc_embeddings(text_view(target_corpus), wv).withColumnRenamed("doc", "node")
-    return top_k_matches(q, t, k=k)
+    return matches_frame(spark, sbe_rank(query_corpus, target_corpus, background_model(seed=seed), k=k))

@@ -8,12 +8,33 @@ its results are poor on text-to-data tasks.
 """
 from __future__ import annotations
 
+from typing import Tuple
+
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-from ..core.embed import train_token_embeddings
-from ..core.match import top_k_matches
-from .common import doc_tokens, text_view
-from .pretrained import doc_embeddings
+from ..core.match import matches_frame
+from .common import WordVectors, doc_tokens, pooled_rank, word_vectors
+
+W2Vec = Tuple[pd.DataFrame, pd.DataFrame, WordVectors]  # query docs, target docs, vectors
+
+
+def w2vec_train(
+    query_corpus, target_corpus, *, vector_size: int = 64, window: int = 5, seed: int = 0
+) -> W2Vec:
+    """Both corpora tokenized (pandas(doc, tokens)) and the word vectors
+    trained on their sentences, query documents first."""
+    q, t = doc_tokens(query_corpus), doc_tokens(target_corpus)
+    wv = word_vectors(
+        [*q["tokens"], *t["tokens"]], vector_size=vector_size, window=window, min_count=1, seed=seed
+    )
+    return q, t, wv
+
+
+def w2vec_rank(trained: W2Vec, *, k: int) -> pd.DataFrame:
+    """pandas(query, target, score, rank) by mean-pooled word vectors."""
+    q, t, wv = trained
+    return pooled_rank(q, t, wv, k=k)
 
 
 def w2vec_match(
@@ -27,11 +48,5 @@ def w2vec_match(
     seed: int = 0,
 ) -> DataFrame:
     """Train-on-task Word2Vec matcher -> (query, target, score, rank)."""
-    qv, tv = text_view(query_corpus), text_view(target_corpus)
-    corpus = doc_tokens(qv).select("tokens").unionByName(doc_tokens(tv).select("tokens"))
-    wv = train_token_embeddings(
-        corpus, vector_size=vector_size, window=window, min_count=1, seed=seed
-    ).cache()
-    q = doc_embeddings(qv, wv).withColumnRenamed("doc", "node")
-    t = doc_embeddings(tv, wv).withColumnRenamed("doc", "node")
-    return top_k_matches(q, t, k=k)
+    trained = w2vec_train(query_corpus, target_corpus, vector_size=vector_size, window=window, seed=seed)
+    return matches_frame(spark, w2vec_rank(trained, k=k))

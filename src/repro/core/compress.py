@@ -75,19 +75,11 @@ def shortest_path_edges(
     return sorted(edges)
 
 
-def sample_pairs(
-    first: Sequence[str],
-    second: Sequence[str],
-    n: int,
-    seed: int,
-    *,
-    ensure_all_metadata: bool = True,
-) -> pd.DataFrame:
-    """DataFrame(src, dst) of MSP's ``n`` sampled (first, second) doc pairs.
-
-    With ``ensure_all_metadata`` every doc left unsampled gets one extra
-    pair with a random doc of the other corpus.
-    """
+def sample_pairs(first: Sequence[str], second: Sequence[str], n: int, seed: int) -> pd.DataFrame:
+    """DataFrame(src, dst) of MSP's ``n`` sampled (first, second) doc pairs,
+    plus one pair for every doc left unsampled, with a random doc of the
+    other corpus (Alg. 3's post-condition: every metadata node is on a
+    sampled pair)."""
     rng = np.random.default_rng(seed)
     pairs = pd.DataFrame(
         {
@@ -95,19 +87,18 @@ def sample_pairs(
             "dst": rng.choice(np.asarray(second, dtype=object), size=n, replace=True),
         }
     )
-    if ensure_all_metadata:
-        rng = np.random.default_rng(seed + 1)
-        missing_first = sorted(set(first) - set(pairs["src"]))
-        missing_second = sorted(set(second) - set(pairs["dst"]))
-        extra = []
-        for m in missing_first:
-            extra.append((m, second[int(rng.integers(len(second)))]))
-        for m in missing_second:
-            extra.append((first[int(rng.integers(len(first)))], m))
-        if extra:
-            pairs = pd.concat(
-                [pairs, pd.DataFrame(extra, columns=["src", "dst"])], ignore_index=True
-            )
+    rng = np.random.default_rng(seed + 1)
+    missing_first = sorted(set(first) - set(pairs["src"]))
+    missing_second = sorted(set(second) - set(pairs["dst"]))
+    extra = []
+    for m in missing_first:
+        extra.append((m, second[int(rng.integers(len(second)))]))
+    for m in missing_second:
+        extra.append((first[int(rng.integers(len(first)))], m))
+    if extra:
+        pairs = pd.concat(
+            [pairs, pd.DataFrame(extra, columns=["src", "dst"])], ignore_index=True
+        )
     return pairs
 
 
@@ -149,14 +140,12 @@ def shortest_path_mask(index: GraphIndex, src: int, dsts: np.ndarray) -> np.ndar
     return keep
 
 
-def msp_compress(
-    graph: Graph, *, beta: float, seed: int = 0, ensure_all_metadata: bool = True
-) -> Graph:
+def msp_compress(graph: Graph, *, beta: float, seed: int = 0) -> Graph:
     """Algorithm 3 (MSP) compression with compression ratio ``beta``.
 
     ``L = beta * |nodes|`` pair samples; pairs are (doc node of corpus 1,
-    doc node of corpus 2). With ``ensure_all_metadata`` every doc metadata
-    node left unsampled gets one extra pair so it stays connected.
+    doc node of corpus 2). Every doc metadata node left unsampled gets one
+    extra pair so it stays connected.
     """
     nodes = graph.node_rows
     docs = nodes[nodes["type"].isin(DOC_TYPES)]
@@ -169,7 +158,7 @@ def msp_compress(
 
     index = graph.index()
     L = max(1, int(beta * len(index.ids)))
-    pairs = sample_pairs(first, second, L, seed, ensure_all_metadata=ensure_all_metadata)
+    pairs = sample_pairs(first, second, L, seed)
     src = np.searchsorted(index.ids, pairs["src"].to_numpy(dtype=object))
     dst = np.searchsorted(index.ids, pairs["dst"].to_numpy(dtype=object))
     keep = np.zeros(len(index.targets), dtype=bool)

@@ -19,10 +19,9 @@ each changed row becomes the global row plus the sum of the shards'
 changes to it, in shard order, and every copy takes the merged row. So the
 vectors are a function of the sentences and the seed, on any number of
 cores. ``run_tdmatch`` hands it the walks' node indices as they come out
-of :func:`repro.core.walks.walk_corpus`. :func:`train_embeddings` (walk
-sentences) and :func:`train_token_embeddings` (token sentences, for the
-baselines) are DataFrame adapters: one collect of the sentences, the same
-trainer, the vectors as a local relation.
+of :func:`repro.core.walks.walk_corpus`. :func:`token_vectors` trains it on
+sentences of string tokens (the baselines' word vectors);
+:func:`train_embeddings` is its DataFrame adapter for walk sentences.
 """
 from __future__ import annotations
 
@@ -39,7 +38,6 @@ from typing import Tuple
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from .graph import pandas_frame
 
@@ -189,20 +187,17 @@ def vector_rows(names, vectors: np.ndarray, col: str) -> pd.DataFrame:
     return pd.DataFrame({col: names, "vector": list(vectors.astype(np.float64))})
 
 
-def _train_sentences(sentences: DataFrame, col: str, out_col: str, **kw) -> DataFrame:
-    """The adapters' path: collect the column ``col`` of token arrays in
-    one action, number its distinct tokens in sorted order, train, and
-    return DataFrame(out_col, vector) as a local relation."""
-    sents = [s for s in sentences.select(col).toPandas()[col] if s is not None]
-    flat = np.concatenate([np.zeros(0, dtype=object)] + [np.asarray(s, dtype=object) for s in sents])
+def token_vectors(sentences, **kw) -> Tuple[np.ndarray, np.ndarray]:
+    """``(words, vectors)`` of :func:`skipgram` over sentences of string
+    tokens, in the given order: the distinct tokens are numbered in sorted
+    order, and ``words`` and the float32 ``vectors`` are in the kernel's
+    vocabulary order, row for row. ``kw`` are :func:`skipgram`'s."""
+    flat = np.concatenate([np.zeros(0, dtype=object)] + [np.asarray(s, dtype=object) for s in sentences])
     tokens, names = pd.factorize(flat, sort=True)
-    offsets = np.zeros(len(sents) + 1, dtype=np.int64)
-    np.cumsum([len(s) for s in sents], out=offsets[1:])
+    offsets = np.zeros(len(sentences) + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in sentences], out=offsets[1:])
     ids, vectors = skipgram(tokens, offsets, **kw)
-    return pandas_frame(
-        sentences.sparkSession, vector_rows(names[ids], vectors, out_col),
-        f"{out_col} string, vector array<double>",
-    )
+    return names[ids], vectors
 
 
 def train_embeddings(
@@ -216,55 +211,18 @@ def train_embeddings(
 ) -> DataFrame:
     """Train Word2Vec on walk sentences -> DataFrame(node, vector).
 
-    ``walks`` must have a column ``walk: array<string>``. On the walks of
-    :func:`repro.core.walks.generate_walks` this gives the vectors that
-    :func:`skipgram` gives on the same walks as node indices. Only the
-    benchmark's traced run (``tdbench/stages.py``) calls it.
+    ``walks`` must have a column ``walk: array<string>``; it is collected
+    in one action, trained by :func:`token_vectors` and returned as a local
+    relation. On the walks of :func:`repro.core.walks.generate_walks` this
+    gives the vectors that :func:`skipgram` gives on the same walks as node
+    indices. Only the benchmark's traced run (``tdbench/stages.py``) calls
+    it.
     """
-    return _train_sentences(
-        walks, "walk", "node", vector_size=vector_size, window=window,
-        min_count=min_count, seed=seed, max_iter=max_iter,
+    sents = [s for s in walks.select("walk").toPandas()["walk"] if s is not None]
+    names, vectors = token_vectors(
+        sents, vector_size=vector_size, window=window, min_count=min_count, seed=seed,
+        max_iter=max_iter,
     )
-
-
-def train_token_embeddings(
-    sentences: DataFrame,
-    *,
-    tokens_col: str = "tokens",
-    vector_size: int = 64,
-    window: int = 5,
-    min_count: int = 1,
-    seed: int = 0,
-    max_iter: int = 1,
-) -> DataFrame:
-    """Word2Vec over plain token sentences (baselines / background model).
-
-    Returns DataFrame(word, vector: array<double>).
-    """
-    return _train_sentences(
-        sentences, tokens_col, "word", vector_size=vector_size, window=window,
-        min_count=min_count, seed=seed, max_iter=max_iter,
-    )
-
-
-def mean_pool(doc_tokens: DataFrame, word_vectors: DataFrame, *, id_col: str = "doc") -> DataFrame:
-    """Document embedding = mean of in-vocabulary token vectors [38].
-
-    ``doc_tokens``: DataFrame(id_col, token). ``word_vectors``: DataFrame
-    (word, vector). Documents with no in-vocabulary token are dropped
-    (callers treat them as unmatched).
-    """
-    joined = doc_tokens.join(
-        word_vectors.withColumnRenamed("word", "token"), "token"
-    )
-    return (
-        joined.groupBy(id_col)
-        .agg(F.collect_list("vector").alias("_vs"))
-        .select(
-            id_col,
-            F.expr(
-                "transform(sequence(0, size(_vs[0]) - 1), "
-                "i -> aggregate(_vs, cast(0.0 as double), (acc, v) -> acc + v[i]) / size(_vs))"
-            ).alias("vector"),
-        )
+    return pandas_frame(
+        walks.sparkSession, vector_rows(names, vectors, "node"), "node string, vector array<double>"
     )

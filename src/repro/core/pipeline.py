@@ -1,8 +1,10 @@
 """End-to-end TDmatch pipeline (Figure 3): graph -> (merge) -> (expand) ->
 (compress) -> walks -> Word2Vec -> top-k matching.
 
-``run_tdmatch`` is the single entry point used by every job/benchmark; the
-paper's method variants map to configs:
+``run_tdmatch`` is the entry point of every job and benchmark; it runs the
+graph stages (:func:`tdmatch_graph`), then :func:`graph_vectors` and
+:func:`match_documents`, the three calls Table VII times. The paper's
+method variants map to configs:
 
 * **W-RW**      — ``TDMatchConfig(expand=False)``
 * **W-RW-EX**   — ``TDMatchConfig(expand=True)`` (+ a KB DataFrame)
@@ -50,7 +52,6 @@ class TDMatchConfig:
     sink_scope: str = "added"
     compress: Optional[Tuple[str, float]] = None  # ("msp", beta) | ("ssum", r)
     bucket_numeric: bool = False
-    bucket_width: Optional[float] = None
     k: int = 20
     seed: int = 0
 
@@ -106,7 +107,7 @@ def match_documents(
     return ranked
 
 
-def run_tdmatch(
+def tdmatch_graph(
     spark: SparkSession,
     query_corpus,
     target_corpus,
@@ -114,12 +115,10 @@ def run_tdmatch(
     config: TDMatchConfig = TDMatchConfig(),
     kb: Optional[DataFrame] = None,
     synonyms: Optional[DataFrame] = None,
-) -> TDMatchResult:
-    """Run the full pipeline; queries come from ``query_corpus`` and are
-    ranked against the documents of ``target_corpus``.
-
-    Graph construction order (which corpus defines the term space, §II-B) is
-    independent of query direction and handled inside ``build_graph``.
+) -> Tuple[Graph, Dict[str, Tuple[int, int]]]:
+    """The graph stages of :func:`run_tdmatch`, build → merge → bucket →
+    filter → expand → compress, and the graph-size trail (stage ->
+    (#nodes, #edges)).
 
     The corpus collects of ``build_graph``, and one collect each of the
     synonyms and (with expansion) the KB, are its only Spark jobs, with MSP,
@@ -152,7 +151,7 @@ def run_tdmatch(
     if synonyms is not None:
         graph = merge_synonyms(graph, synonyms)[0]
     if cfg.bucket_numeric:
-        graph = merge_numeric_buckets(graph, width=cfg.bucket_width)[0]
+        graph = merge_numeric_buckets(graph)[0]
     if cfg.filter_second:
         graph = filter_to_term_corpus(graph, kb=kb if cfg.expand else None)
     sizes["original"] = (graph.num_nodes(), graph.num_edges())
@@ -170,9 +169,31 @@ def run_tdmatch(
         else:
             raise ValueError(f"unknown compression {kind!r}")
         sizes["compressed"] = (graph.num_nodes(), graph.num_edges())
+    return graph, sizes
 
-    vectors = graph_vectors(graph, cfg)
-    ranked = match_documents(graph, vectors, query_corpus, target_corpus, k=cfg.k)
+
+def run_tdmatch(
+    spark: SparkSession,
+    query_corpus,
+    target_corpus,
+    *,
+    config: TDMatchConfig = TDMatchConfig(),
+    kb: Optional[DataFrame] = None,
+    synonyms: Optional[DataFrame] = None,
+) -> TDMatchResult:
+    """Run the full pipeline; queries come from ``query_corpus`` and are
+    ranked against the documents of ``target_corpus``: the graph stages
+    (:func:`tdmatch_graph`), then :func:`graph_vectors` and
+    :func:`match_documents`, which start no Spark job.
+
+    Graph construction order (which corpus defines the term space, §II-B) is
+    independent of query direction and handled inside ``build_graph``.
+    """
+    graph, sizes = tdmatch_graph(
+        spark, query_corpus, target_corpus, config=config, kb=kb, synonyms=synonyms
+    )
+    vectors = graph_vectors(graph, config)
+    ranked = match_documents(graph, vectors, query_corpus, target_corpus, k=config.k)
     return TDMatchResult(
         matches=matches_frame(spark, ranked),
         graph_sizes=sizes,

@@ -4,18 +4,14 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.baselines.common import doc_tokens, serialize_table, text_view
+from repro.baselines.common import doc_tokens, doc_vectors, serialize_table, text_view
 from repro.baselines.d2vec import d2vec_match
 from repro.baselines.features import PairFeaturizer
 from repro.baselines.matchers import lbe_match
-from repro.baselines.pretrained import (
-    background_model,
-    background_sentences,
-    doc_embeddings,
-    sbe_match,
-)
+from repro.baselines.pretrained import background_model, background_sentences, sbe_match
 from repro.baselines.rank import kfold_rank, rank_match
-from repro.baselines.w2vec import w2vec_match
+from repro.baselines.w2vec import w2vec_match, w2vec_train
+from repro.core.embed import skipgram
 from repro.core.graph import StructuredTextCorpus, TableCorpus, TextCorpus
 from repro.core.metrics import ranking_metrics_pdf
 from repro.datasets.common import GENERAL_WORDS
@@ -69,8 +65,9 @@ class TestCommon:
         v = spark.createDataFrame(
             pd.DataFrame({"doc": ["d"], "text": ["the running cases"]})
         )
-        toks = doc_tokens(v).first()["tokens"]
-        assert toks == ["run", "case"]
+        toks = doc_tokens(TextCorpus("v", v, "doc", "text"))
+        assert toks["doc"].tolist() == ["d"]
+        assert toks["tokens"].tolist() == [["run", "case"]]
 
 
 class TestBackground:
@@ -84,15 +81,13 @@ class TestBackground:
         for s in background_sentences(rng, 50):
             assert set(s) <= allowed
 
-    def test_model_cached(self, spark):
-        a = background_model(spark, n_sentences=300, vector_size=16, seed=1)
-        b = background_model(spark, n_sentences=300, vector_size=16, seed=1)
+    def test_model_cached(self):
+        a = background_model(n_sentences=300, vector_size=16, seed=1)
+        b = background_model(n_sentences=300, vector_size=16, seed=1)
         assert a is b
 
-    def test_synonyms_close_in_space(self, spark):
-        wv = background_model(spark, n_sentences=3000, vector_size=32, seed=0)
-        pdf = wv.toPandas()
-        vecs = {w: np.array(v) for w, v in zip(pdf["word"], pdf["vector"])}
+    def test_synonyms_close_in_space(self):
+        vecs = background_model(n_sentences=3000, vector_size=32, seed=0)
 
         def cos(a, b):
             va, vb = vecs[a], vecs[b]
@@ -135,9 +130,9 @@ class TestSbe:
 
     def test_oov_docs_get_fallback(self, spark, toy):
         text, table, _ = toy
-        wv = background_model(spark, seed=0)
-        emb = doc_embeddings(text_view(text), wv)
-        assert emb.count() == 3  # nothing dropped
+        wv = background_model(seed=0)
+        emb = doc_vectors(doc_tokens(text), wv)
+        assert emb["id"].tolist() == ["1", "2", "3"]  # nothing dropped
 
 
 class TestTrainedBaselines:
@@ -146,6 +141,20 @@ class TestTrainedBaselines:
         out = w2vec_match(spark, text, table, k=3, vector_size=24, seed=0)
         m = ranking_metrics_pdf(out.toPandas(), truth.toPandas(), ks=(1,))
         assert m["MRR"] >= 0.5
+
+    def test_w2vec_vectors_equal_skipgram(self, spark, toy):
+        """W2VEC's word vectors are the kernel's on the documents' token
+        sentences, query corpus first, tokens numbered in sorted order."""
+        text, table, _ = toy
+        q, t, wv = w2vec_train(text, table, vector_size=24, seed=3)
+        sents = [*q["tokens"], *t["tokens"]]
+        assert sents[0] == ["alpha", "beta", "gamma", "story"]
+        names = sorted({w for s in sents for w in s})
+        tokens = np.array([names.index(w) for s in sents for w in s])
+        offsets = np.cumsum([0] + [len(s) for s in sents])
+        ids, vectors = skipgram(tokens, offsets, vector_size=24, window=5, seed=3)
+        assert list(wv) == [names[i] for i in ids]
+        assert np.stack(list(wv.values())).tobytes() == vectors.astype(np.float64).tobytes()
 
     def test_d2vec_ranks_everything(self, spark, toy):
         text, table, truth = toy
@@ -159,33 +168,32 @@ class TestFeaturizer:
     def test_feature_values(self, spark, toy):
         text, table, _ = toy
         fz = PairFeaturizer(
-            spark, text, table, features=["tfidf_cos", "jaccard", "overlap"]
+            doc_tokens(text), doc_tokens(table), features=["tfidf_cos", "jaccard", "overlap"]
         )
-        pairs = spark.createDataFrame(
-            pd.DataFrame({"query": ["1", "1"], "target": ["1", "2"]})
-        )
-        out = {r["target"]: r["features"] for r in fz.featurize(pairs).collect()}
+        pairs = pd.DataFrame({"query": ["1", "1"], "target": ["1", "2"]})
+        feats = fz.featurize(pairs)
+        out = dict(zip(feats["target"], feats["features"]))
         assert out["1"][0] > out["2"][0]  # tfidf cosine prefers true match
         assert out["1"][1] > out["2"][1]  # jaccard too
         assert out["2"][1] == 0.0
 
     def test_label_passthrough(self, spark, toy):
         text, table, _ = toy
-        fz = PairFeaturizer(spark, text, table, features=["jaccard"])
-        pairs = spark.createDataFrame(
-            pd.DataFrame({"query": ["1"], "target": ["1"], "label": [1.0]})
-        )
-        assert fz.featurize(pairs).first()["label"] == 1.0
+        fz = PairFeaturizer(doc_tokens(text), doc_tokens(table), features=["jaccard"])
+        pairs = pd.DataFrame({"query": ["1"], "target": ["1"], "label": [1.0]})
+        assert fz.featurize(pairs)["label"].tolist() == [1.0]
 
     def test_unknown_feature_raises(self, spark, toy):
         text, table, _ = toy
         with pytest.raises(ValueError):
-            PairFeaturizer(spark, text, table, features=["woof"])
+            PairFeaturizer(doc_tokens(text), doc_tokens(table), features=["woof"])
 
     def test_all_pairs_cross(self, spark, toy):
         text, table, _ = toy
-        fz = PairFeaturizer(spark, text, table, features=["jaccard"])
-        assert fz.all_pairs().count() == 9
+        fz = PairFeaturizer(doc_tokens(text), doc_tokens(table), features=["jaccard"])
+        pairs = fz.all_pairs()
+        assert len(pairs) == 9
+        assert set(zip(pairs["query"], pairs["target"])) == {(q, t) for q in "123" for t in "123"}
 
     def test_num_match(self, spark):
         q = TextCorpus(
@@ -198,11 +206,10 @@ class TestFeaturizer:
             spark.createDataFrame(pd.DataFrame({"i": [1, 2], "v": ["120 march", "77 june"]})),
             "i", ["v"],
         )
-        fz = PairFeaturizer(spark, q, t, features=["num_match"])
-        pairs = spark.createDataFrame(
-            pd.DataFrame({"query": ["1", "1"], "target": ["1", "2"]})
-        )
-        out = {r["target"]: r["features"][0] for r in fz.featurize(pairs).collect()}
+        fz = PairFeaturizer(doc_tokens(q), doc_tokens(t), features=["num_match"])
+        pairs = pd.DataFrame({"query": ["1", "1"], "target": ["1", "2"]})
+        feats = fz.featurize(pairs)
+        out = {t: f[0] for t, f in zip(feats["target"], feats["features"])}
         assert out["1"] == 1.0 and out["2"] == 0.0
 
 
@@ -217,6 +224,26 @@ class TestSupervised:
         text, table, truth = toy
         out = rank_match(spark, text, table, truth, k=3, n_folds=3, seed=0).toPandas()
         assert set(out["query"]) == {"1", "2", "3"}
+
+    def test_fold_scores_equal_spark_probability(self, spark, toy):
+        """kfold_rank scores pairs on the driver from a fold model's
+        coefficients as Spark ML's ``transform`` does, to float rounding."""
+        from pyspark.ml.classification import LogisticRegression
+        from pyspark.ml.functions import array_to_vector, vector_to_array
+
+        text, table, _ = toy
+        fz = PairFeaturizer(doc_tokens(text), doc_tokens(table), features=["tfidf_cos", "jaccard"])
+        pairs = fz.featurize(fz.all_pairs())
+        pairs["label"] = (pairs["query"] == pairs["target"]).astype(float)
+        df = spark.createDataFrame(pairs).withColumn("f", array_to_vector("features"))
+        model = LogisticRegression(featuresCol="f", labelCol="label", maxIter=50, regParam=0.01).fit(df)
+        want = model.transform(df).select(
+            "query", "target", F.element_at(vector_to_array("probability"), 2).alias("p")
+        ).toPandas()
+        got = kfold_rank((fz, [(["1", "2", "3"], model.coefficients.toArray(), model.intercept)]), k=3)
+        both = got.merge(want, on=["query", "target"])
+        assert len(both) == 9
+        np.testing.assert_allclose(both["score"], both["p"], rtol=0, atol=1e-12)
 
     def test_lbe_multilabel(self, spark):
         tax = StructuredTextCorpus(

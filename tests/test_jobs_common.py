@@ -56,3 +56,25 @@ class TestStructuredPipelineSmoke:
         # every predicted target is a real concept id
         ids = set(sc.taxonomy_pdf["concept_id"].astype(str))
         assert set(res.matches.toPandas()["target"]) <= ids
+
+
+class TestTable7Smoke:
+    def test_every_row_timed(self, spark):
+        """Table VII at a tiny scale: every paper row, each time a finite
+        non-negative number but S-BE's Train (it has no train step)."""
+        import numpy as np
+
+        from jobs.table7_times import run
+
+        pdf = run(spark, scale=0.05)
+        rows = [
+            ("Text to data", m)
+            for m in ("W2VEC", "D2VEC", "S-BE", "W-RW", "RANK*", "DITTO*", "DEEP-M*", "TAPAS*")
+        ] + [("Structured text", m) for m in ("W2VEC", "D2VEC", "S-BE", "W-RW", "L-BE*", "RANK*")] + [
+            ("Text to text", m) for m in ("W2VEC", "D2VEC", "S-BE", "W-RW", "RANK*")
+        ]
+        assert list(zip(pdf["Task"], pdf["Method"])) == rows
+        sbe = pdf["Method"] == "S-BE"
+        assert pdf.loc[sbe, "Train"].isna().all()
+        times = np.concatenate([pdf.loc[~sbe, "Train"], pdf["Test"]])
+        assert np.isfinite(times).all() and (times >= 0).all()

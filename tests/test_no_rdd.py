@@ -12,10 +12,11 @@ it, about doubling the worker's memory. The pipeline's modules, MSP's
 they mention.
 
 Any Python UDF, row-at-a-time ``udf`` included, makes Spark start a pool of
-``pyspark.daemon`` workers. The pipeline tokenizes on the driver and
-computes its merge labels there, so the third guard lists every Python UDF
-name (``udf``, ``pandas_udf`` and the Arrow UDF entry points) that the
-pipeline's modules and ``preprocess`` mention.
+``pyspark.daemon`` workers, and a broadcast variable reaches Python code
+only through such a worker. The pipeline and the baselines tokenize, pool,
+featurize and rank on the driver, so the third guard lists every Python
+UDF name (``udf``, ``pandas_udf`` and the Arrow UDF entry points) and every
+``broadcast`` that any module of the package mentions.
 
 The package has one Word2Vec trainer, the compiled skip-gram kernel of
 ``core/embed.py``. The fourth guard lists every import of a Spark ML
@@ -36,8 +37,7 @@ _LITERALS = (ast.List, ast.Tuple, ast.ListComp, ast.GeneratorExp)
 
 W_RW_MODULES = ("graph", "merge", "expand", "compress", "walks", "embed", "match", "pipeline")
 _ARROW_UDFS = {"mapInPandas", "mapInArrow", "pandas_udf", "applyInPandas"}
-PIPELINE_MODULES = W_RW_MODULES + ("preprocess",)
-_PYTHON_UDFS = _ARROW_UDFS | {"udf"}
+_PYTHON_WORKERS = _ARROW_UDFS | {"udf", "broadcast"}
 
 
 def rdd_uses(root: Path) -> List[str]:
@@ -117,10 +117,10 @@ def test_arrow_guard_flags_each_form(tmp_path):
     assert arrow_udf_uses([tmp_path / "m.py"]) == [f"m.py:{i}" for i in range(1, 7)]
 
 
-def test_pipeline_modules_run_no_python_udf():
-    paths = [SRC / "core" / f"{m}.py" for m in PIPELINE_MODULES]
-    assert all(p.is_file() for p in paths)
-    assert name_uses(paths, _PYTHON_UDFS) == []
+def test_package_runs_no_python_udf():
+    paths = sorted(SRC.rglob("*.py"))
+    assert {p.parent.name for p in paths} >= {"core", "baselines"}
+    assert name_uses(paths, _PYTHON_WORKERS) == []
 
 
 def test_python_udf_guard_flags_each_form(tmp_path):
@@ -135,11 +135,12 @@ def test_python_udf_guard_flags_each_form(tmp_path):
         "d = df.mapInPandas(f, 'x int')\n"
         "e = df.mapInArrow(f, 'x int')\n"
         "h = df.groupBy('k').applyInPandas(f, 'x int')\n"
+        "b = sc.broadcast({'a': 1})\n"
         "ok = F.col('udf')\n"
         "ok = my_udf(F.expr('udf'))\n"
     )
-    flagged = [1, 2, 4, 5, 6, 7, 8, 9, 10]
-    assert name_uses([tmp_path / "m.py"], _PYTHON_UDFS) == [f"m.py:{i}" for i in flagged]
+    flagged = [1, 2, 4, 5, 6, 7, 8, 9, 10, 11]
+    assert name_uses([tmp_path / "m.py"], _PYTHON_WORKERS) == [f"m.py:{i}" for i in flagged]
 
 
 def spark_ml_imports(root: Path) -> List[str]:

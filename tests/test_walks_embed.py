@@ -16,7 +16,8 @@ from pyspark.sql import functions as F
 
 from repro.core import embed
 
-from repro.core.embed import huffman, mean_pool, skipgram, train_embeddings, train_token_embeddings
+from repro.baselines.common import doc_vectors, mean_vector
+from repro.core.embed import huffman, skipgram, token_vectors, train_embeddings
 from repro.core.graph import (
     GraphIndex,
     TableCorpus,
@@ -672,32 +673,27 @@ class TestAdapters:
 
 
 class TestTokenEmbeddings:
-    def test_trains_on_sentences(self, spark):
-        sents = spark.createDataFrame(
-            pd.DataFrame({"tokens": [["a", "b", "c"], ["a", "b", "d"]] * 10})
-        )
-        wv = train_token_embeddings(sents, vector_size=8, window=2, seed=0)
-        words = {r["word"] for r in wv.collect()}
-        assert {"a", "b", "c", "d"} <= words
+    def test_trains_on_sentences(self):
+        words, vectors = token_vectors([["a", "b", "c"], ["a", "b", "d"]] * 10, vector_size=8, window=2, seed=0)
+        assert {"a", "b", "c", "d"} <= set(words)
+        assert vectors.shape == (len(words), 8)
 
-    def test_mean_pool(self, spark):
-        wv = spark.createDataFrame(
-            pd.DataFrame({"word": ["x", "y"], "vector": [[1.0, 0.0], [0.0, 1.0]]})
-        )
-        toks = spark.createDataFrame(
-            pd.DataFrame({"doc": ["d1", "d1", "d2"], "token": ["x", "y", "x"]})
-        )
-        out = {r["doc"]: r["vector"] for r in mean_pool(toks, wv).collect()}
-        assert out["d1"] == [0.5, 0.5]
-        assert out["d2"] == [1.0, 0.0]
+    def test_mean_pool(self):
+        wv = {"x": np.array([1.0, 0.0]), "y": np.array([0.0, 1.0])}
+        assert mean_vector(["x", "y"], wv).tolist() == [0.5, 0.5]
+        assert mean_vector(["x", "zzz"], wv).tolist() == [1.0, 0.0]
 
-    def test_mean_pool_drops_oov_docs(self, spark):
-        wv = spark.createDataFrame(pd.DataFrame({"word": ["x"], "vector": [[1.0]]}))
-        toks = spark.createDataFrame(
-            pd.DataFrame({"doc": ["d1", "d2"], "token": ["x", "zzz"]})
-        )
-        docs = {r["doc"] for r in mean_pool(toks, wv).collect()}
-        assert docs == {"d1"}
+    def test_mean_pool_drops_oov_docs(self):
+        """A document with no in-vocabulary token has no mean; the
+        baselines give it a fixed near-zero fallback vector instead."""
+        wv = {"x": np.array([1.0])}
+        assert mean_vector(["zzz"], wv) is None
+        docs = pd.DataFrame({"doc": ["d1", "d2"], "tokens": [["x"], ["zzz"]]})
+        out = doc_vectors(docs, wv)
+        assert out["vector"][0].tolist() == [1.0]
+        fallback = out["vector"][1]
+        assert fallback.shape == (1,) and 0 < abs(fallback[0]) < 0.1
+        assert doc_vectors(docs, wv)["vector"][1].tolist() == fallback.tolist()  # fixed per doc
 
 
 class TestFilterToTermCorpus:
